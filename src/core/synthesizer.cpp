@@ -102,7 +102,8 @@ SynthesisResult Synthesizer::optimize(
   if (config_.seed_with_heuristics) {
     PhaseTimer timer(observer, Phase::kHeuristics, eval_count, engine_count);
     result.heuristics = run_all_heuristics(
-        eval, opt_rng, config_.heuristic_options, observer, config_.stop);
+        eval, opt_rng, config_.heuristic_options, observer, config_.stop,
+        config_.ga.parallel.resolved_threads());
     for (const HeuristicResult& h : result.heuristics) {
       seeds.push_back(h.topology);
     }

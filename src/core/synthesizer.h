@@ -50,7 +50,8 @@ struct SynthesisConfig {
   /// Run-level parallelism for ensemble generation (generate_ensemble /
   /// sweep_metrics): independent seeds are distributed across this many
   /// threads. 0 = all hardware threads, 1 = sequential. Within a single
-  /// synthesize() call the GA's own knob (`ga.parallel`) applies; when the
+  /// synthesize() call the GA's own knob (`ga.parallel`) applies, to the
+  /// heuristics' candidate scoring as well as the GA's; when the
   /// ensemble layer fans out runs it forces the inner GA sequential to
   /// avoid oversubscription. Results are bit-identical either way.
   ParallelConfig parallel;

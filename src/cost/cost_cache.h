@@ -23,7 +23,8 @@
 // Determinism: the cache stores exact breakdowns, so cached and recomputed
 // results are bit-identical and enabling the cache cannot change any
 // optimization trajectory. One CostCache belongs to one Evaluator (no
-// internal locking); parallel engines give each worker clone its own.
+// internal locking); it serves only when EvalCacheConfig::shared is off,
+// otherwise every worker clone shares the root's SharedCostCache.
 #pragma once
 
 #include <algorithm>
@@ -44,11 +45,13 @@ struct EvalCacheConfig {
   std::size_t capacity = 1 << 14;  ///< max resident entries (LRU-bounded)
 
   /// Share one lock-striped cache (cost/shared_cost_cache.h) across every
-  /// worker clone of the run instead of giving each clone a private
-  /// CostCache: an elite scored on worker 0 then hits on worker 3.
-  /// Exact either way — hits return stored breakdowns bit-for-bit, so the
-  /// setting changes hit rates, never results. --shared-cache on the CLI.
-  bool shared = false;
+  /// worker clone of the run (GA scoring and heuristic scoring alike)
+  /// instead of giving each clone a private CostCache: an elite scored on
+  /// worker 0 then hits on worker 3, and the caller's evaluator sees every
+  /// entry its clones made. Exact either way — hits return stored
+  /// breakdowns bit-for-bit, so the setting changes hit rates, never
+  /// results. On by default; false gives each clone its own cache.
+  bool shared = true;
 
   friend bool operator==(const EvalCacheConfig&,
                          const EvalCacheConfig&) = default;

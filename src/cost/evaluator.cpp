@@ -134,6 +134,13 @@ void Evaluator::merge_stats(Evaluator& worker) {
   multipath_stats_ += std::exchange(worker.multipath_stats_, {});
 }
 
+void detail::refund_evaluations(Evaluator& eval, std::size_t n) {
+  if (n > eval.evaluations_) {
+    throw std::logic_error("refund_evaluations: more than were charged");
+  }
+  eval.evaluations_ -= n;
+}
+
 EvalCacheStats Evaluator::cache_stats() const {
   EvalCacheStats s = merged_cache_stats_;
   if (cache_) s += cache_->stats();

@@ -34,6 +34,16 @@
 namespace cold {
 
 class SharedCostCache;
+class Evaluator;
+
+namespace detail {
+/// Takes back `n` of `eval`'s evaluation charges: for results a speculative
+/// parallel walk scored but its serial equivalent never requests (the
+/// greedy hub heuristics, heuristics/hub_heuristics.cpp), so evaluations(),
+/// budgets and traces stay identical at any thread count. Internal hook,
+/// not part of the public API.
+void refund_evaluations(Evaluator& eval, std::size_t n);
+}  // namespace detail
 
 /// Inputs of one evaluation beyond the topology itself. The request carries
 /// everything the old stateful surface smuggled through the evaluator
@@ -209,6 +219,8 @@ class Evaluator {
   const SharedCostCache* shared_cache() const { return shared_cache_.get(); }
 
  private:
+  friend void detail::refund_evaluations(Evaluator& eval, std::size_t n);
+
   /// Clone construction: shares the parent's context (provider cores, CSR,
   /// shared cache) with fresh scratch, caches and counters.
   struct CloneTag {};

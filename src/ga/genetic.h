@@ -49,7 +49,9 @@ struct GaConfig {
   /// Dijkstra sweep per candidate). 0 = all hardware threads, 1 = fully
   /// sequential. Every setting yields bit-identical results: variation
   /// decisions are drawn sequentially from the single Rng, and scoring is
-  /// RNG-free with results written to per-offspring slots.
+  /// RNG-free with results written to per-offspring slots. Synthesizer
+  /// runs also score the greedy hub heuristics' candidates on this many
+  /// threads (heuristics/hub_heuristics.h).
   ParallelConfig parallel;
 
   /// Score each distinct topology once per scoring pass: candidates are

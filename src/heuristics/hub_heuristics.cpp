@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "graph/algorithms.h"
+#include "util/thread_pool.h"
 
 namespace cold {
 
@@ -38,20 +40,87 @@ NodeId nearest_hub(const HubState& state, NodeId v,
   return best;
 }
 
-// Best single-hub star: try every centre, keep the cheapest.
-std::pair<HubState, double> best_star(Evaluator& eval) {
-  const std::size_t n = eval.num_nodes();
-  HubState best_state;
-  double best_cost = kInf;
-  for (NodeId centre = 0; centre < n; ++centre) {
-    HubState state{{centre}, {}};
-    const double c = eval.cost(realize(state, n, eval.lengths()));
-    if (c < best_cost) {
-      best_cost = c;
-      best_state = state;
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+// Scores one greedy step's candidates, in parallel when more than one thread
+// is configured. Worker 0 is the caller's evaluator and workers 1..k-1 are
+// its clones (sharing the context, and the cache when it is shared); at one
+// thread there are no clones and no pool, and candidates are scored inline
+// in index order, exactly as the serial walk does. Each candidate topology
+// is built on the worker that scores it, reading distances through that
+// worker's provider: matrix-free providers keep a per-instance row-tile
+// cache, so sharing one across threads would race. Clone counters are folded
+// into the caller's evaluator after every batch, so eval().evaluations() is
+// exact between batches.
+class CandidateScorer {
+ public:
+  CandidateScorer(Evaluator& eval, std::size_t num_threads) : eval_(eval) {
+    if (num_threads < 2) return;
+    clones_.reserve(num_threads - 1);
+    for (std::size_t w = 1; w < num_threads; ++w) {
+      clones_.push_back(eval.clone());
+    }
+    pool_ = std::make_unique<ThreadPool>(num_threads);
+  }
+
+  Evaluator& eval() { return eval_; }
+
+  /// Candidates one batch can score at once.
+  std::size_t width() const { return clones_.size() + 1; }
+
+  /// Returns the cost of build(i, lengths) for every i in [0, count), each
+  /// slot written by exactly one worker.
+  template <typename Build>
+  std::vector<double> score(std::size_t count, const Build& build) {
+    std::vector<double> costs(count);
+    if (pool_ == nullptr || count < 2) {
+      for (std::size_t i = 0; i < count; ++i) {
+        costs[i] = eval_.cost(build(i, eval_.lengths()));
+      }
+      return costs;
+    }
+    pool_->parallel_for(0, count, [&](std::size_t i, std::size_t w) {
+      Evaluator& e = w == 0 ? eval_ : clones_[w - 1];
+      costs[i] = e.cost(build(i, e.lengths()));
+    });
+    for (Evaluator& c : clones_) eval_.merge_stats(c);
+    return costs;
+  }
+
+ private:
+  Evaluator& eval_;
+  std::vector<Evaluator> clones_;
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+// Index of the cheapest cost strictly below `bound`, the lowest index on
+// ties (the serial scan's strict `<`), or kNone when nothing improves.
+std::size_t argmin_below(const std::vector<double>& costs, double bound) {
+  std::size_t best = kNone;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    if (costs[i] < bound) {
+      bound = costs[i];
+      best = i;
     }
   }
-  return {best_state, best_cost};
+  return best;
+}
+
+struct Walk {
+  HubState state;
+  double cost = kInf;
+};
+
+// Best single-hub star: try every centre, keep the cheapest.
+Walk best_star(CandidateScorer& scorer) {
+  const std::size_t n = scorer.eval().num_nodes();
+  const std::vector<double> costs =
+      scorer.score(n, [n](std::size_t centre, const DistanceProvider& lengths) {
+        return realize(HubState{{centre}, {}}, n, lengths);
+      });
+  const std::size_t best = argmin_below(costs, kInf);
+  if (best == kNone) return {};
+  return {HubState{{best}, {}}, costs[best]};
 }
 
 // Rewires the hub links according to the strategy's fixed policy
@@ -86,54 +155,48 @@ void rewire_fixed(HubState& state, HubStrategy strategy,
 // lowest cost connecting link, etc., until there are no more cost
 // reductions"): starting from c's single nearest-hub link, keep adding the
 // (c, hub) link that lowers total cost the most.
-double greedy_expand_links(Evaluator& eval, HubState& state, NodeId c,
+double greedy_expand_links(CandidateScorer& scorer, HubState& state, NodeId c,
                            double current_cost) {
-  const std::size_t n = eval.num_nodes();
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    Edge best_link{};
-    double best_cost = current_cost;
+  const std::size_t n = scorer.eval().num_nodes();
+  std::vector<Edge> links;
+  while (true) {
+    links.clear();
     for (NodeId h : state.hubs) {
       if (h == c) continue;
       const Edge cand = make_edge(c, h);
-      if (std::find(state.hub_links.begin(), state.hub_links.end(), cand) !=
+      if (std::find(state.hub_links.begin(), state.hub_links.end(), cand) ==
           state.hub_links.end()) {
-        continue;
-      }
-      state.hub_links.push_back(cand);
-      const double cost = eval.cost(realize(state, n, eval.lengths()));
-      state.hub_links.pop_back();
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_link = cand;
-        improved = true;
+        links.push_back(cand);
       }
     }
-    if (improved) {
-      state.hub_links.push_back(best_link);
-      current_cost = best_cost;
-    }
+    const std::vector<double> costs = scorer.score(
+        links.size(), [&](std::size_t i, const DistanceProvider& lengths) {
+          HubState trial = state;
+          trial.hub_links.push_back(links[i]);
+          return realize(trial, n, lengths);
+        });
+    const std::size_t best = argmin_below(costs, current_cost);
+    if (best == kNone) return current_cost;
+    state.hub_links.push_back(links[best]);
+    current_cost = costs[best];
   }
-  return current_cost;
 }
 
-// Tentatively adds `c` as a hub under the given strategy; returns the
-// candidate cost (state is left modified; callers copy before trying).
-double add_hub(Evaluator& eval, HubState& state, NodeId c,
-               HubStrategy strategy) {
-  const std::size_t n = eval.num_nodes();
+// `state` with `c` tentatively added as a hub under the given strategy.
+HubState with_hub(const HubState& state, NodeId c, HubStrategy strategy,
+                  const DistanceProvider& lengths) {
+  HubState trial = state;
   if (strategy == HubStrategy::kComplete || strategy == HubStrategy::kMst) {
-    state.hubs.push_back(c);
-    rewire_fixed(state, strategy, eval.lengths());
-    return eval.cost(realize(state, n, eval.lengths()));
+    trial.hubs.push_back(c);
+    rewire_fixed(trial, strategy, lengths);
+    return trial;
   }
   // Greedy strategies: candidate wired only to its nearest hub; the full
   // greedy expansion happens once the candidate is accepted.
-  const NodeId h = nearest_hub(state, c, eval.lengths());
-  state.hubs.push_back(c);
-  state.hub_links.push_back(make_edge(c, h));
-  return eval.cost(realize(state, n, eval.lengths()));
+  const NodeId h = nearest_hub(state, c, lengths);
+  trial.hubs.push_back(c);
+  trial.hub_links.push_back(make_edge(c, h));
+  return trial;
 }
 
 HeuristicResult finish(Evaluator& eval, const HubState& state, double cost,
@@ -145,57 +208,93 @@ HeuristicResult finish(Evaluator& eval, const HubState& state, double cost,
   return r;
 }
 
-HeuristicResult run_candidate_loop(Evaluator& eval, HubStrategy strategy) {
+// Complete, Mst and GreedyAttachment: score every non-hub candidate, accept
+// the cheapest improving one, repeat.
+HeuristicResult run_candidate_loop(CandidateScorer& scorer,
+                                   HubStrategy strategy) {
+  Evaluator& eval = scorer.eval();
   const std::size_t n = eval.num_nodes();
-  auto [state, cost] = best_star(eval);
-  while (state.hubs.size() < n) {
-    HubState best_state;
-    double best_cost = cost;
-    bool improved = false;
+  Walk walk = best_star(scorer);
+  std::vector<NodeId> candidates;
+  while (walk.state.hubs.size() < n) {
+    candidates.clear();
     for (NodeId c = 0; c < n; ++c) {
-      if (state.is_hub(c)) continue;
-      HubState trial = state;
-      const double trial_cost = add_hub(eval, trial, c, strategy);
-      if (trial_cost < best_cost) {
-        best_cost = trial_cost;
-        best_state = std::move(trial);
-        improved = true;
-      }
+      if (!walk.state.is_hub(c)) candidates.push_back(c);
     }
-    if (!improved) break;
-    state = std::move(best_state);
-    cost = best_cost;
+    const std::vector<double> costs = scorer.score(
+        candidates.size(), [&](std::size_t i, const DistanceProvider& lengths) {
+          return realize(with_hub(walk.state, candidates[i], strategy, lengths),
+                         n, lengths);
+        });
+    const std::size_t best = argmin_below(costs, walk.cost);
+    if (best == kNone) break;
+    walk.state = with_hub(walk.state, candidates[best], strategy,
+                          eval.lengths());
+    walk.cost = costs[best];
     if (strategy == HubStrategy::kGreedyAttachment) {
-      cost = greedy_expand_links(eval, state, state.hubs.back(), cost);
+      walk.cost = greedy_expand_links(scorer, walk.state,
+                                      walk.state.hubs.back(), walk.cost);
     }
   }
-  return finish(eval, state, cost, strategy);
+  return finish(eval, walk.state, walk.cost, strategy);
 }
 
-HeuristicResult run_random_greedy(Evaluator& eval, Rng& rng,
+// RandomGreedy: walk random permutations, accepting every improving
+// candidate in turn. A batch scores the next width() non-hub candidates
+// against the current state; the walk accepts the first improving one in
+// permutation order, refunds the evaluations past it (the serial walk would
+// have scored them against the changed state) and resumes right after it.
+HeuristicResult run_random_greedy(CandidateScorer& scorer, Rng& rng,
                                   const HubHeuristicOptions& options) {
+  Evaluator& eval = scorer.eval();
   const std::size_t n = eval.num_nodes();
   HeuristicResult best;
   best.cost = kInf;
   const std::size_t perms = std::max<std::size_t>(1, options.num_permutations);
+  std::vector<std::size_t> window;  // positions in `order`
   for (std::size_t p = 0; p < perms; ++p) {
-    auto [state, cost] = best_star(eval);
-    for (std::size_t idx : rng.permutation(n)) {
-      const NodeId c = idx;
-      if (state.is_hub(c)) continue;
-      HubState trial = state;
-      double trial_cost = add_hub(eval, trial, c, HubStrategy::kRandomGreedy);
-      if (trial_cost < cost) {
-        trial_cost = greedy_expand_links(eval, trial, c, trial_cost);
-        state = std::move(trial);
-        cost = trial_cost;
+    Walk walk = best_star(scorer);
+    const std::vector<std::size_t> order = rng.permutation(n);
+    std::size_t next = 0;
+    while (next < order.size()) {
+      window.clear();
+      for (; next < order.size() && window.size() < scorer.width(); ++next) {
+        if (!walk.state.is_hub(order[next])) window.push_back(next);
       }
+      const std::vector<double> costs = scorer.score(
+          window.size(), [&](std::size_t i, const DistanceProvider& lengths) {
+            return realize(with_hub(walk.state, order[window[i]],
+                                    HubStrategy::kRandomGreedy, lengths),
+                           n, lengths);
+          });
+      std::size_t accepted = 0;
+      while (accepted < costs.size() && !(costs[accepted] < walk.cost)) {
+        ++accepted;
+      }
+      if (accepted == costs.size()) continue;
+      detail::refund_evaluations(eval, costs.size() - accepted - 1);
+      const NodeId c = order[window[accepted]];
+      walk.state = with_hub(walk.state, c, HubStrategy::kRandomGreedy,
+                            eval.lengths());
+      walk.cost = greedy_expand_links(scorer, walk.state, c, costs[accepted]);
+      next = window[accepted] + 1;
     }
-    if (cost < best.cost) {
-      best = finish(eval, state, cost, HubStrategy::kRandomGreedy);
+    if (walk.cost < best.cost) {
+      best = finish(eval, walk.state, walk.cost, HubStrategy::kRandomGreedy);
     }
   }
   return best;
+}
+
+HeuristicResult run_with(CandidateScorer& scorer, HubStrategy strategy,
+                         Rng& rng, const HubHeuristicOptions& options) {
+  if (scorer.eval().num_nodes() < 2) {
+    throw std::invalid_argument("run_hub_heuristic: need at least 2 PoPs");
+  }
+  if (strategy == HubStrategy::kRandomGreedy) {
+    return run_random_greedy(scorer, rng, options);
+  }
+  return run_candidate_loop(scorer, strategy);
 }
 
 }  // namespace
@@ -247,27 +346,23 @@ Topology build_hub_topology(std::size_t n, const std::vector<NodeId>& hubs,
 }
 
 HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
-                                  Rng& rng,
-                                  const HubHeuristicOptions& options) {
-  if (eval.num_nodes() < 2) {
-    throw std::invalid_argument("run_hub_heuristic: need at least 2 PoPs");
-  }
-  if (strategy == HubStrategy::kRandomGreedy) {
-    return run_random_greedy(eval, rng, options);
-  }
-  return run_candidate_loop(eval, strategy);
+                                  Rng& rng, const HubHeuristicOptions& options,
+                                  std::size_t num_threads) {
+  CandidateScorer scorer(eval, num_threads);
+  return run_with(scorer, strategy, rng, options);
 }
 
 std::vector<HeuristicResult> run_all_heuristics(
     Evaluator& eval, Rng& rng, const HubHeuristicOptions& options,
-    RunObserver* observer, StopCondition* stop) {
+    RunObserver* observer, StopCondition* stop, std::size_t num_threads) {
   if (stop != nullptr) stop->arm();
+  CandidateScorer scorer(eval, num_threads);
   std::vector<HeuristicResult> out;
   for (HubStrategy s : all_hub_strategies()) {
     if (stop != nullptr && stop->should_stop()) break;
     const auto started = std::chrono::steady_clock::now();
     const std::size_t evals_before = eval.evaluations();
-    HeuristicResult r = run_hub_heuristic(eval, s, rng, options);
+    HeuristicResult r = run_with(scorer, s, rng, options);
     r.wall_ns = elapsed_ns(started);
     if (stop != nullptr) {
       stop->add_evaluations(eval.evaluations() - evals_before);

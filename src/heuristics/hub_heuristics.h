@@ -13,6 +13,16 @@
 // These serve two roles, exactly as in the paper: (a) competitors used to
 // validate the GA (Fig 3), and (b) seed topologies for the "initialized GA",
 // which is then guaranteed to be at least as good as every heuristic.
+//
+// Parallel scoring: with num_threads > 1 each greedy step scores its
+// candidates concurrently on Evaluator::clone()s (worker 0 is the caller's
+// evaluator) and then picks the winner serially, lowest index first on
+// ties. RandomGreedy scores windows of upcoming candidates from the current
+// state, accepts the first improving one in permutation order and resumes
+// right after it; the evaluations it scored past that one are refunded. So
+// results, costs and evaluations() are bit-identical to the serial walk at
+// any thread count. One thread runs the serial walk inline: no pool, no
+// clones.
 #pragma once
 
 #include <string>
@@ -50,18 +60,22 @@ struct HeuristicResult {
 };
 
 /// Runs one heuristic against the evaluator's context. The returned
-/// topology is always connected; its cost is finite.
+/// topology is always connected; its cost is finite. `num_threads` counts
+/// the scoring threads, caller included; 0 or 1 scores serially.
 HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
                                   Rng& rng,
-                                  const HubHeuristicOptions& options = {});
+                                  const HubHeuristicOptions& options = {},
+                                  std::size_t num_threads = 1);
 
 /// Runs every heuristic; results are in all_hub_strategies() order. The
 /// optional observer receives one HeuristicDone per heuristic; the optional
 /// stop condition is checked between heuristics (a stopped sweep returns
-/// the results computed so far) and charged with their evaluations.
+/// the results computed so far) and charged with their evaluations. One
+/// thread pool and one set of evaluator clones serve all four heuristics.
 std::vector<HeuristicResult> run_all_heuristics(
     Evaluator& eval, Rng& rng, const HubHeuristicOptions& options = {},
-    RunObserver* observer = nullptr, StopCondition* stop = nullptr);
+    RunObserver* observer = nullptr, StopCondition* stop = nullptr,
+    std::size_t num_threads = 1);
 
 /// Builds the "hub set" topology used by all heuristics: the given hubs are
 /// wired with `hub_edges` (edges between hub node ids) and every non-hub

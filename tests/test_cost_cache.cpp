@@ -151,6 +151,7 @@ TEST(EvaluatorCache, CloneMergeFoldsCacheStats) {
   const Context ctx = small_context(8, 5);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
+  engine.cache.shared = false;  // this test exercises per-clone caches
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
   const Topology g = Topology::complete(8);
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <ostream>
 
 #include "core/context.h"
+#include "core/synthesizer.h"
 #include "geom/distance.h"
 #include "graph/algorithms.h"
 
@@ -139,6 +144,161 @@ TEST(HubStrategy, NamesAreStable) {
   EXPECT_EQ(to_string(HubStrategy::kMst), "mst");
   EXPECT_EQ(to_string(HubStrategy::kGreedyAttachment), "greedy attachment");
   EXPECT_EQ(all_hub_strategies().size(), 4u);
+}
+
+// --- Parallel scoring is exact --------------------------------------------
+
+// Sets both dense-backend thresholds (topology adjacency and distances) for
+// its lifetime, like the CLI's --dense-threshold.
+class DenseThresholdGuard {
+ public:
+  explicit DenseThresholdGuard(std::size_t n)
+      : topology_(Topology::dense_auto_threshold()),
+        distances_(DistanceProvider::dense_auto_threshold()) {
+    Topology::set_dense_auto_threshold(n);
+    DistanceProvider::set_dense_auto_threshold(n);
+  }
+  ~DenseThresholdGuard() {
+    Topology::set_dense_auto_threshold(topology_);
+    DistanceProvider::set_dense_auto_threshold(distances_);
+  }
+  DenseThresholdGuard(const DenseThresholdGuard&) = delete;
+  DenseThresholdGuard& operator=(const DenseThresholdGuard&) = delete;
+
+ private:
+  std::size_t topology_;
+  std::size_t distances_;
+};
+
+struct ExactnessCase {
+  const char* name;
+  std::size_t n;
+  bool matrix_free;      ///< both dense thresholds at 0 for the whole run
+  bool cache_and_delta;  ///< cost cache + delta engine, else the defaults
+};
+
+void PrintTo(const ExactnessCase& c, std::ostream* os) { *os << c.name; }
+
+struct StrategyOutcome {
+  std::vector<Edge> edges;
+  std::uint64_t cost_bits = 0;
+  std::size_t evaluations = 0;
+};
+
+// Every strategy in turn on one evaluator (so cache and retained routing
+// state carry over between heuristics, as in a synthesis run).
+std::vector<StrategyOutcome> run_each_strategy(const ExactnessCase& c,
+                                               std::size_t threads) {
+  std::optional<DenseThresholdGuard> matrix_free;
+  if (c.matrix_free) matrix_free.emplace(0);
+  ContextConfig context;
+  context.num_pops = c.n;
+  Rng context_rng(c.n);
+  const Context ctx = generate_context(context, context_rng);
+  EXPECT_EQ(ctx.distances.has_dense(), !c.matrix_free);
+  EvalEngineConfig engine;
+  if (c.cache_and_delta) {
+    engine.cache.enabled = true;
+    engine.delta.mode = DsspMode::kOn;
+  }
+  Evaluator eval(ctx.distances, ctx.traffic, CostParams{10, 1, 4e-4, 10},
+                 engine);
+  HubHeuristicOptions options;
+  options.num_permutations = 2;
+  std::vector<StrategyOutcome> out;
+  for (const HubStrategy s : all_hub_strategies()) {
+    Rng rng(17);
+    const std::size_t before = eval.evaluations();
+    const HeuristicResult r = run_hub_heuristic(eval, s, rng, options, threads);
+    out.push_back({r.topology.edges(), std::bit_cast<std::uint64_t>(r.cost),
+                   eval.evaluations() - before});
+  }
+  return out;
+}
+
+class ParallelHeuristicExactness
+    : public ::testing::TestWithParam<ExactnessCase> {};
+
+TEST_P(ParallelHeuristicExactness, MatchesSerialWalkAtAnyThreadCount) {
+  const std::vector<StrategyOutcome> serial = run_each_strategy(GetParam(), 1);
+  const std::vector<HubStrategy> strategies = all_hub_strategies();
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    const std::vector<StrategyOutcome> parallel =
+        run_each_strategy(GetParam(), threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const std::string where =
+          to_string(strategies[i]) + " at " + std::to_string(threads) +
+          " threads";
+      EXPECT_EQ(parallel[i].edges, serial[i].edges) << where;
+      EXPECT_EQ(parallel[i].cost_bits, serial[i].cost_bits) << where;
+      EXPECT_EQ(parallel[i].evaluations, serial[i].evaluations) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contexts, ParallelHeuristicExactness,
+    ::testing::Values(ExactnessCase{"n20_dense", 20, false, false},
+                      ExactnessCase{"n20_dense_cache_dsssp", 20, false, true},
+                      ExactnessCase{"n80_sparse", 80, false, false},
+                      ExactnessCase{"n80_sparse_cache_dsssp", 80, false, true},
+                      ExactnessCase{"n40_matrix_free", 40, true, false},
+                      ExactnessCase{"n40_matrix_free_cache_dsssp", 40, true,
+                                    true}),
+    [](const ::testing::TestParamInfo<ExactnessCase>& info) {
+      return std::string(info.param.name);
+    });
+
+struct StoppedRun {
+  std::vector<std::vector<Edge>> seeds;
+  std::size_t charged = 0;
+  std::vector<Edge> best;
+  std::uint64_t cost_bits = 0;
+};
+
+TEST(ParallelHeuristics, EvalBudgetStopsAfterTheSameHeuristic) {
+  SynthesisConfig cfg;
+  cfg.context.num_pops = 24;
+  cfg.ga.population = 12;
+  cfg.ga.generations = 5;
+  cfg.heuristic_options.num_permutations = 2;
+  constexpr std::uint64_t kSeed = 3;
+  Rng context_rng(kSeed, /*stream=*/0);
+  const Context ctx = generate_context(cfg.context, context_rng);
+
+  // A budget one evaluation past the first heuristic's charge expires
+  // inside the second heuristic, so the sweep stops right after it.
+  std::size_t first = 0;
+  {
+    Evaluator eval(ctx.distances, ctx.traffic, cfg.costs, cfg.engine);
+    Rng rng(kSeed, /*stream=*/1);
+    run_hub_heuristic(eval, all_hub_strategies().front(), rng,
+                      cfg.heuristic_options);
+    first = eval.evaluations();
+  }
+
+  std::vector<StoppedRun> runs;
+  for (const std::size_t threads : {1u, 4u}) {
+    StopCondition stop = StopCondition::eval_budget(first + 1);
+    cfg.stop = &stop;
+    cfg.ga.parallel.num_threads = threads;
+    const SynthesisResult r = Synthesizer(cfg).synthesize_for_context(ctx, kSeed);
+    ASSERT_EQ(r.heuristics.size(), 2u) << threads << " threads";
+    StoppedRun run;
+    for (const HeuristicResult& h : r.heuristics) {
+      run.seeds.push_back(h.topology.edges());
+    }
+    run.charged = stop.evaluations();
+    run.best = r.ga.best.edges();
+    run.cost_bits = std::bit_cast<std::uint64_t>(r.cost.total());
+    runs.push_back(std::move(run));
+  }
+  EXPECT_GT(runs[0].charged, first + 1);
+  EXPECT_EQ(runs[1].seeds, runs[0].seeds);
+  EXPECT_EQ(runs[1].charged, runs[0].charged);
+  EXPECT_EQ(runs[1].best, runs[0].best);
+  EXPECT_EQ(runs[1].cost_bits, runs[0].cost_bits);
 }
 
 }  // namespace

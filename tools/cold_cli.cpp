@@ -4,7 +4,7 @@
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--eval-cache] [--eval-cache-size N]
-//                 [--shared-cache] [--dedup] [--dijkstra auto|dense|sparse]
+//                 [--dedup] [--dijkstra auto|dense|sparse]
 //                 [--dsssp on|off|auto] [--affinity on|off]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
@@ -68,7 +68,7 @@ const std::vector<OptionSpec> kCostOpts = {
 const std::vector<OptionSpec> kGaOpts = {
     {"population", true, "M (48)"},
     {"generations", true, "T (40)"},
-    {"threads", true, "K (0 = all cores)"},
+    {"threads", true, "K (0 = all cores): heuristic and GA scoring threads"},
 };
 
 // Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
@@ -76,8 +76,6 @@ const std::vector<OptionSpec> kGaOpts = {
 const std::vector<OptionSpec> kEngineOpts = {
     {"eval-cache", false, "memoize cost evaluations"},
     {"eval-cache-size", true, "N entries (16384)"},
-    {"shared-cache", false, "share one cache across workers (implies "
-                            "--eval-cache)"},
     {"dedup", false, "score each distinct GA offspring once"},
     {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
@@ -185,7 +183,9 @@ void print_usage() {
       "            --pops N (30) --k0 X (10) --k2 X (4e-4) --k3 X (10)\n"
       "            --seed S (1) --population M (48) --generations T (40)\n"
       "            --overprovision O (1) --format dot|json|graphml (json)\n"
-      "            --threads K (0 = all cores; output identical for any K)\n"
+      "            --threads K (0 = all cores): scores the greedy hub\n"
+      "            heuristics' candidates and the GA's offspring in\n"
+      "            parallel; output identical for any K\n"
       "            --traffic-topk K (0 = exact: keep each PoP's K largest\n"
       "            demands, symmetrized and renormalized — approximate,\n"
       "            recorded in the run report)\n"
@@ -226,9 +226,9 @@ void print_usage() {
       "            and --max-evals N (stop budgets; partial results stay\n"
       "            valid)\n"
       "  engine    (synth/ensemble/grow): --eval-cache memoizes cost\n"
-      "            evaluations, --eval-cache-size N bounds it (16384),\n"
-      "            --shared-cache shares one cache across worker threads\n"
-      "            (implies --eval-cache), --dedup scores each distinct GA\n"
+      "            evaluations in one cache shared by every worker\n"
+      "            thread, --eval-cache-size N bounds it (16384),\n"
+      "            --dedup scores each distinct GA\n"
       "            offspring once per generation, --dijkstra\n"
       "            auto|dense|sparse picks the shortest-path solver, and\n"
       "            --dsssp on|off|auto re-routes near-parent offspring\n"
@@ -303,8 +303,7 @@ EvalEngineConfig engine_from(const CliOptions& args) {
     DistanceProvider::set_dense_auto_threshold(threshold);
   }
   EvalEngineConfig engine;
-  engine.cache.enabled = args.has("eval-cache") || args.has("shared-cache");
-  engine.cache.shared = args.has("shared-cache");
+  engine.cache.enabled = args.has("eval-cache");
   engine.cache.capacity =
       args.uint("eval-cache-size", engine.cache.capacity);
   const std::string algo = args.get("dijkstra", "auto");
