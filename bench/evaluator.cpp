@@ -66,6 +66,14 @@ namespace {
 
 using namespace cold;
 
+/// The default engine with the memo cache off: for the sections that time
+/// routing itself, where repeat evaluations must not become cache hits.
+EvalEngineConfig uncached() {
+  EvalEngineConfig engine;
+  engine.cache.enabled = false;
+  return engine;
+}
+
 /// Records every topology the GA asks to score, together with the parent
 /// hint the GA announced for it (0 = none — initial population). clone()
 /// returns nullptr so the GA runs sequentially and the trace is the
@@ -190,7 +198,7 @@ SparseSample measure_sparse_vs_dense(std::size_t n, std::size_t reps) {
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
   double dense_cost = 0.0, sparse_cost = 0.0;
   for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    EvalEngineConfig engine;
+    EvalEngineConfig engine = uncached();  // time the solver, not cache hits
     engine.sp_algorithm = algo;
     Evaluator eval(ctx.distances, ctx.traffic, costs, engine);
     eval.cost(g);  // warm the workspace outside the timed region
@@ -237,7 +245,7 @@ MultipathSample measure_multipath(std::size_t n, std::size_t reps) {
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
   double single_cost = 0.0, ecmp_cost = 0.0;
   for (const MultipathMode mode : {MultipathMode::kOff, MultipathMode::kEcmp}) {
-    EvalEngineConfig engine;
+    EvalEngineConfig engine = uncached();  // time the routing, not hits
     engine.multipath.mode = mode;
     Evaluator eval(ctx.distances, ctx.traffic, costs, engine);
     eval.cost(g);  // warm the workspace outside the timed region
@@ -336,7 +344,7 @@ AffinitySample replay_affinity(const Context& ctx, const CostParams& costs,
                                const std::vector<std::uint64_t>& hints,
                                const std::vector<double>& reference,
                                std::size_t workers, bool affinity) {
-  EvalEngineConfig engine;
+  EvalEngineConfig engine = uncached();  // every item reaches the engine
   engine.delta.mode = DsspMode::kOn;  // production cutoffs: only a genuinely
                                       // near parent matches, so routing is
                                       // what decides hit vs fallback
@@ -417,11 +425,13 @@ int main(int argc, char** argv) {
   costs_off.reserve(passes * trace.size());
   costs_on.reserve(passes * trace.size());
 
-  Evaluator eval_off(ctx.distances, ctx.traffic, costs);
+  Evaluator eval_off(ctx.distances, ctx.traffic, costs, uncached());
   const double eps_off = replay(trace, passes, eval_off, costs_off);
 
+  // Sized to hold the whole trace: every replay pass re-runs it in order,
+  // which under a smaller LRU budget evicts each entry before its repeat.
   EvalEngineConfig cached_engine;
-  cached_engine.cache.enabled = true;
+  cached_engine.cache.max_bytes = std::size_t{16} << 20;
   Evaluator eval_on(ctx.distances, ctx.traffic, costs, cached_engine);
   std::vector<double> first_pass;
   const double first_eps = replay(trace, 1, eval_on, first_pass);
@@ -506,13 +516,14 @@ int main(int argc, char** argv) {
 
   std::vector<double> delta_ref;
   delta_ref.reserve(delta_trace.size());
-  Evaluator eval_full(delta_ctx.distances, delta_ctx.traffic, costs);
+  Evaluator eval_full(delta_ctx.distances, delta_ctx.traffic, costs,
+                      uncached());
   const auto t_full = std::chrono::steady_clock::now();
   for (const Topology& g : delta_trace) delta_ref.push_back(eval_full.cost(g));
   const double eps_full =
       static_cast<double>(delta_trace.size()) / seconds_since(t_full);
 
-  EvalEngineConfig delta_engine;
+  EvalEngineConfig delta_engine = uncached();
   delta_engine.delta.mode = DsspMode::kOn;
   delta_engine.delta.max_diff_edges = delta_n * delta_n;  // accept any parent
   delta_engine.delta.max_resettle_ratio = 1.0;            // never abandon

@@ -1,107 +1,220 @@
 #include "cost/cost_cache.h"
 
 #include <algorithm>
-#include <bit>
+#include <cstring>
 
 namespace cold {
 
 namespace cache_detail {
 
-std::size_t sets_for_capacity(std::size_t capacity, std::size_t ways) {
-  // Round capacity / ways up to a power of two so the set index is a mask.
-  const std::size_t want =
-      std::max<std::size_t>(1, (capacity + ways - 1) / ways);
-  return std::bit_ceil(want);
-}
+namespace {
 
-void pack_edges(const Topology& g, std::vector<std::uint64_t>& out) {
-  out.clear();
-  out.reserve(g.num_edges());
-  const std::size_t n = g.num_nodes();
+/// Calls `visit(p)` for every pair index p = u * n + v, u < v, of `g`'s
+/// edges in increasing order; stops early (returning false) when `visit`
+/// does.
+template <typename Visit>
+bool for_each_pair_index(const Topology& g, Visit visit) {
+  const std::uint64_t n = g.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      if (v > u) {
-        out.push_back(static_cast<std::uint64_t>(u) << 32 | v);
-      }
+    const std::span<const NodeId> nb = g.neighbors(u);
+    for (auto it = std::upper_bound(nb.begin(), nb.end(), u); it != nb.end();
+         ++it) {
+      if (!visit(u * n + *it)) return false;
     }
   }
+  return true;
 }
 
-bool matches(const Entry& e, const Topology& g) {
-  if (e.n != g.num_nodes() || e.m != g.num_edges()) return false;
-  // Equal edge counts make one-sided containment a full equality check.
-  for (const std::uint64_t packed : e.edges) {
-    const NodeId u = static_cast<NodeId>(packed >> 32);
-    const NodeId v = static_cast<NodeId>(packed & 0xffffffffULL);
-    if (!g.has_edge(u, v)) return false;
+}  // namespace
+
+void encode_edges(const Topology& g, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(g.num_edges());  // at least one byte per edge
+  std::uint64_t prev = 0;
+  for_each_pair_index(g, [&](std::uint64_t p) {
+    std::uint64_t gap = p - prev;
+    prev = p;
+    for (; gap >= 0x80; gap >>= 7) {
+      out.push_back(static_cast<std::uint8_t>(gap | 0x80));
+    }
+    out.push_back(static_cast<std::uint8_t>(gap));
+    return true;
+  });
+}
+
+bool EntrySet::matches(const Slot& s, const Topology& g) const {
+  if (s.n != g.num_nodes() || s.m != g.num_edges()) return false;
+  const std::size_t skip = s.has_summaries ? kSummaryBytes : 0;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(slab_.get()) +
+                  s.tail_offset + skip;
+  const std::uint8_t* const end = p + (s.tail_size - skip);
+  std::uint64_t prev = 0;
+  const bool all_equal = for_each_pair_index(g, [&](std::uint64_t want) {
+    std::uint64_t gap = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (p == end) return false;
+      const std::uint8_t byte = *p++;
+      gap |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    prev += gap;
+    return prev == want;
+  });
+  return all_equal && p == end;
+}
+
+std::size_t EntrySet::find_index(const Topology& g,
+                                 std::uint64_t key) const {
+  const Slot* s = slots();
+  for (std::size_t i = 0; i < count_; ++i) {
+    if (s[i].key == key && matches(s[i], g)) return i;
+  }
+  return count_;
+}
+
+bool EntrySet::find(const Topology& g, std::uint64_t key,
+                    CostBreakdown& out) {
+  const std::size_t i = find_index(g, key);
+  if (i == count_) return false;
+  Slot& s = slots()[i];
+  s.stamp = ++clock_;
+  out = CostBreakdown{};
+  out.existence = s.terms[0];
+  out.length = s.terms[1];
+  out.bandwidth = s.terms[2];
+  out.node = s.terms[3];
+  out.resilience = s.terms[4];
+  out.multipath = s.terms[5];
+  out.feasible = s.feasible;
+  if (s.has_summaries) {
+    const std::byte* tail = slab_.get() + s.tail_offset;
+    std::memcpy(&out.resilience_summary, tail, sizeof(ResilienceSummary));
+    std::memcpy(&out.multipath_summary, tail + sizeof(ResilienceSummary),
+                sizeof(MultipathSummary));
   }
   return true;
+}
+
+bool EntrySet::make_room(std::size_t tail_size) {
+  const std::size_t slots_end = (count_ + 1) * sizeof(Slot);
+  if (slots_end + tail_size <= tail_low_) return true;
+  if (slots_end + tail_bytes_ + tail_size > capacity_) return false;
+  // Enough bytes, but holes split them: pack the live tails against the
+  // slab's end, highest first, so every move goes up or stays.
+  Slot* s = slots();
+  std::sort(s, s + count_, [](const Slot& a, const Slot& b) {
+    return a.tail_offset > b.tail_offset;
+  });
+  std::size_t low = capacity_;
+  for (std::size_t i = 0; i < count_; ++i) {
+    low -= s[i].tail_size;
+    std::memmove(slab_.get() + low, slab_.get() + s[i].tail_offset,
+                 s[i].tail_size);
+    s[i].tail_offset = static_cast<std::uint32_t>(low);
+  }
+  tail_low_ = low;
+  return true;
+}
+
+void EntrySet::remove(std::size_t i) {
+  Slot* s = slots();
+  tail_bytes_ -= s[i].tail_size;
+  s[i] = s[count_ - 1];  // order within a set is irrelevant
+  if (--count_ == 0) tail_low_ = capacity_;
+}
+
+InsertResult EntrySet::insert(const Topology& g, const CostBreakdown& b,
+                              std::uint64_t key,
+                              std::span<const std::uint8_t> code,
+                              std::size_t budget) {
+  InsertResult r;
+  // A resident copy is replaced, not evicted: its bytes go to the new one.
+  const std::size_t resident = find_index(g, key);
+  if (resident != count_) remove(resident);
+  const bool has_summaries =
+      !(b.resilience_summary == ResilienceSummary{}) ||
+      !(b.multipath_summary == MultipathSummary{});
+  const std::size_t tail_size =
+      (has_summaries ? kSummaryBytes : 0) + code.size();
+  if (sizeof(Slot) + tail_size > budget) return r;  // can never fit
+  if (slab_ == nullptr) {
+    slab_ = std::make_unique_for_overwrite<std::byte[]>(budget);
+    capacity_ = budget;
+    tail_low_ = budget;
+  }
+  while (!make_room(tail_size)) {
+    // Evict the least recently used entry; an empty set always has room.
+    const Slot* s = slots();
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < count_; ++i) {
+      if (s[i].stamp < s[victim].stamp) victim = i;
+    }
+    remove(victim);
+    ++r.evicted;
+  }
+  tail_low_ -= tail_size;
+  tail_bytes_ += tail_size;
+  std::byte* tail = slab_.get() + tail_low_;
+  if (has_summaries) {
+    std::memcpy(tail, &b.resilience_summary, sizeof(ResilienceSummary));
+    std::memcpy(tail + sizeof(ResilienceSummary), &b.multipath_summary,
+                sizeof(MultipathSummary));
+    tail += kSummaryBytes;
+  }
+  std::memcpy(tail, code.data(), code.size());
+  ::new (slab_.get() + count_ * sizeof(Slot)) Slot{
+      key,
+      ++clock_,
+      static_cast<std::uint32_t>(g.num_nodes()),
+      static_cast<std::uint32_t>(g.num_edges()),
+      static_cast<std::uint32_t>(tail_low_),
+      static_cast<std::uint32_t>(tail_size),
+      b.feasible,
+      has_summaries,
+      {b.existence, b.length, b.bandwidth, b.node, b.resilience,
+       b.multipath}};
+  ++count_;
+  r.stored = true;
+  return r;
 }
 
 }  // namespace cache_detail
 
 CostCache::CostCache(const EvalCacheConfig& config)
-    : num_sets_(cache_detail::sets_for_capacity(config.capacity, kWays)),
-      table_(num_sets_ * kWays) {}
+    : set_budget_(config.max_bytes / cache_detail::kSets),
+      sets_(cache_detail::kSets) {}
 
-std::size_t CostCache::set_base(std::uint64_t key) const {
-  // The key is an already avalanched fingerprint (SplitMix64-mixed edge
-  // keys) XOR an avalanched salt, so the low bits index well.
-  return (key & (num_sets_ - 1)) * kWays;
-}
-
-CostCache::Entry* CostCache::find_entry(const Topology& g,
-                                        std::uint64_t key) {
-  Entry* base = table_.data() + set_base(key);
-  for (std::size_t w = 0; w < kWays; ++w) {
-    Entry& e = base[w];
-    if (e.stamp != 0 && e.fingerprint == key && cache_detail::matches(e, g)) {
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
-const CostBreakdown* CostCache::find(const Topology& g, std::uint64_t salt) {
-  Entry* e = find_entry(g, g.fingerprint() ^ salt);
-  if (e == nullptr) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  e->stamp = ++clock_;
-  ++stats_.hits;
-  return &e->value;
-}
-
-void CostCache::insert(const Topology& g, const CostBreakdown& b,
-                       std::uint64_t salt) {
+bool CostCache::find(const Topology& g, CostBreakdown& out,
+                     std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Entry* victim = find_entry(g, key);
-  if (victim == nullptr) {
-    // Prefer an empty way; otherwise evict the set's LRU entry.
-    Entry* base = table_.data() + set_base(key);
-    victim = base;
-    for (std::size_t w = 0; w < kWays; ++w) {
-      Entry& e = base[w];
-      if (e.stamp == 0) {
-        victim = &e;
-        break;
-      }
-      if (e.stamp < victim->stamp) victim = &e;
-    }
-    if (victim->stamp != 0) {
-      ++stats_.evictions;
-    } else {
-      ++live_;
-    }
-    victim->fingerprint = key;
-    victim->n = static_cast<std::uint32_t>(g.num_nodes());
-    victim->m = static_cast<std::uint32_t>(g.num_edges());
-    cache_detail::pack_edges(g, victim->edges);
-  }
-  victim->value = b;
-  victim->stamp = ++clock_;
-  ++stats_.inserts;
+  const bool hit = sets_[cache_detail::set_index(key)].find(g, key, out);
+  ++(hit ? stats_.hits : stats_.misses);
+  return hit;
+}
+
+cache_detail::InsertResult CostCache::insert(const Topology& g,
+                                             const CostBreakdown& b,
+                                             std::uint64_t salt) {
+  const std::uint64_t key = g.fingerprint() ^ salt;
+  cache_detail::encode_edges(g, code_);
+  const cache_detail::InsertResult r =
+      sets_[cache_detail::set_index(key)].insert(g, b, key, code_,
+                                                 set_budget_);
+  if (r.stored) ++stats_.inserts;
+  stats_.evictions += r.evicted;
+  return r;
+}
+
+std::size_t CostCache::size() const {
+  std::size_t total = 0;
+  for (const cache_detail::EntrySet& s : sets_) total += s.size();
+  return total;
+}
+
+std::size_t CostCache::resident_bytes() const {
+  std::size_t total = 0;
+  for (const cache_detail::EntrySet& s : sets_) total += s.resident_bytes();
+  return total;
 }
 
 }  // namespace cold

@@ -5,20 +5,27 @@
 // cost evaluations are exact repeats. CostCache memoizes CostBreakdown
 // results keyed by the topology's Zobrist fingerprint (graph/topology.h)
 // plus (n, m), turning a repeat from an O(n * (n+m) log n) routing sweep
-// into an O(m) verification.
+// into an O(n + m) verification.
 //
-// Organisation: a set-associative, open-addressed table. The fingerprint
-// selects a power-of-two set; each set holds kWays entries managed LRU by a
-// global access stamp. Eviction replaces the least-recently-used way of the
-// full set, which bounds memory at ~capacity entries with no rehashing and
-// no tombstones.
+// Organisation: 64 LRU sets selected by fingerprint bits, each owning an
+// equal share of EvalCacheConfig::max_bytes as one slab, allocated on the
+// set's first insert (cache_detail::EntrySet). An insert that does not fit
+// evicts the set's least-recently-used entries until it does. So building
+// an evaluator costs no cache memory or time, a run that never repeats a
+// topology pays almost nothing, and a set makes one allocation in its
+// lifetime: no churn for the allocator to fragment.
+//
+// Compact entries: an 88-byte slot holds the key, LRU stamp, n, m and the
+// cost terms; a tail holds the two summaries (only when either is set) and
+// the edge set as LEB128 varint gaps between the sorted pair indices
+// u * n + v (u < v), about 1 byte per edge at n <= 80 and 2 at n = 2000.
 //
 // Collision policy: fingerprints are 64-bit XORs of per-edge keys, so
 // distinct edge sets *can* collide. A hit is therefore only reported after
-// full-adjacency verification — the entry stores its packed edge list and
-// every stored edge is checked against the queried topology (equal edge
-// counts make one-sided containment sufficient). A verification failure
-// counts as a miss; correctness never rests on hash uniqueness.
+// full verification: n and m must match, and the stored encoding is merged
+// against the queried topology's sorted adjacency, edge by edge. A
+// verification failure counts as a miss; correctness never rests on hash
+// uniqueness.
 //
 // Determinism: the cache stores exact breakdowns, so cached and recomputed
 // results are bit-identical and enabling the cache cannot change any
@@ -28,8 +35,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -41,8 +52,19 @@ namespace cold {
 
 /// Tuning for an Evaluator's memoization cache.
 struct EvalCacheConfig {
-  bool enabled = false;        ///< off by default; --eval-cache turns it on
-  std::size_t capacity = 1 << 14;  ///< max resident entries (LRU-bounded)
+  /// On by default: every result is exact, so the cache moves time and
+  /// memory, never costs or trajectories. false routes every evaluation.
+  bool enabled = true;
+
+  /// Byte budget for the cache, split evenly over its 64 LRU sets. An
+  /// entry costs 88 bytes plus its edge encoding (~1 byte per edge at
+  /// n <= 80, ~2 at n = 2000), so the default holds ~900 topologies at
+  /// n = 30 and a few hundred at n = 80. A synthesis there
+  /// inserts a few thousand distinct ones, but repeats are recent: the hit
+  /// rate is 0.76 at n = 30 with 64 KiB or 16 MiB alike. An entry larger
+  /// than one set's share (2 KiB by default) is not stored, so at
+  /// n = 2000-10000 the default cache stays empty.
+  std::size_t max_bytes = std::size_t{128} << 10;  ///< 128 KiB
 
   /// Share one lock-striped cache (cost/shared_cost_cache.h) across every
   /// worker clone of the run (GA scoring and heuristic scoring alike)
@@ -238,29 +260,99 @@ struct EvalCacheStats {
 };
 
 /// Internals shared between CostCache (per-worker, unlocked) and
-/// SharedCostCache (cross-worker, lock-striped): the stored-entry layout and
-/// the full edge-set verification that makes fingerprint collisions harmless.
+/// SharedCostCache (cross-worker, lock-striped): the compact edge-set
+/// encoding, the verification that makes fingerprint collisions harmless,
+/// and the byte-bounded LRU set both caches are built from.
 namespace cache_detail {
 
-struct Entry {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t stamp = 0;  ///< LRU access clock; 0 marks an empty way
-  std::uint32_t n = 0;
-  std::uint32_t m = 0;
-  std::vector<std::uint64_t> edges;  ///< packed (u << 32 | v), u < v
-  CostBreakdown value;
+/// Number of LRU sets (CostCache) or lock-striped shards of one set each
+/// (SharedCostCache). Power of two: the fingerprint's high bits index it.
+inline constexpr std::size_t kSets = 64;
+
+/// The set or shard a key belongs to. The key is an avalanched fingerprint
+/// XOR an avalanched salt, so any six bits spread keys evenly.
+inline std::size_t set_index(std::uint64_t key) {
+  return static_cast<std::size_t>(key >> 48) & (kSets - 1);
+}
+
+/// Writes `g`'s edge set to `out` as LEB128 varint gaps between the sorted
+/// pair indices u * n + v, u < v (the first gap is from 0).
+void encode_edges(const Topology& g, std::vector<std::uint8_t>& out);
+
+/// What an insert did: whether the entry is now resident (false only when
+/// it is larger than a whole set's budget) and how many live entries it
+/// evicted to make room.
+struct InsertResult {
+  bool stored = false;
+  std::size_t evicted = 0;
 };
 
-/// True iff `e` stores exactly `g`'s topology: fingerprint, n and m match
-/// and every stored edge exists in `g` (equal edge counts make one-sided
-/// containment a full equality check).
-bool matches(const Entry& e, const Topology& g);
+/// One LRU set in a single byte slab of the set's budget, allocated on its
+/// first insert: fixed-size slots grow from the front, variable-size tails
+/// (the two summaries, only when either is set, then the edge encoding)
+/// from the back. Evicting leaves a hole among the tails; an insert that
+/// finds no contiguous room packs the live tails first. So a set makes one
+/// allocation in its lifetime and never exceeds its budget. Not
+/// thread-safe.
+class EntrySet {
+ public:
+  /// On a verified hit for `g` under `key`, copies the stored breakdown to
+  /// `out`, freshens the entry as most recently used and returns true.
+  /// Verification: n and m match, and the stored edge encoding equals
+  /// `g`'s, decoded and merged against its sorted adjacency.
+  bool find(const Topology& g, std::uint64_t key, CostBreakdown& out);
 
-/// Packs `g`'s edge set as sorted-within-pair (u << 32 | v), u < v.
-void pack_edges(const Topology& g, std::vector<std::uint64_t>& out);
+  /// Stores `b` for `g` under `key`, replacing `g`'s resident entry if any,
+  /// and evicts least-recently-used entries until the new one, holding
+  /// `code` (encode_edges(g)), fits in the set's `budget` bytes. Every
+  /// call must pass the same budget.
+  InsertResult insert(const Topology& g, const CostBreakdown& b,
+                      std::uint64_t key, std::span<const std::uint8_t> code,
+                      std::size_t budget);
 
-/// Smallest power-of-two set count holding `capacity` entries at kWays ways.
-std::size_t sets_for_capacity(std::size_t capacity, std::size_t ways);
+  std::size_t size() const { return count_; }
+
+  /// Bytes allocated: the slab once the set has stored an entry, else 0.
+  std::size_t resident_bytes() const { return capacity_; }
+
+ private:
+  struct Slot {
+    std::uint64_t key;
+    std::uint64_t stamp;  ///< LRU access clock of this set
+    std::uint32_t n;
+    std::uint32_t m;
+    std::uint32_t tail_offset;  ///< within the slab
+    std::uint32_t tail_size;
+    bool feasible;
+    bool has_summaries;
+    /// existence, length, bandwidth, node, resilience, multipath
+    std::array<double, 6> terms;
+  };
+
+ public:
+  /// Slab bytes one entry costs besides its tail.
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  static constexpr std::size_t kSummaryBytes =
+      sizeof(ResilienceSummary) + sizeof(MultipathSummary);
+
+ private:
+  Slot* slots() const {
+    return std::launder(reinterpret_cast<Slot*>(slab_.get()));
+  }
+  std::size_t find_index(const Topology& g, std::uint64_t key) const;
+  bool matches(const Slot& s, const Topology& g) const;
+  /// True once a slot and `tail_size` contiguous tail bytes are free,
+  /// packing the tails if that is enough; false if eviction is needed.
+  bool make_room(std::size_t tail_size);
+  void remove(std::size_t i);
+
+  std::unique_ptr<std::byte[]> slab_;  ///< null until the first insert
+  std::size_t capacity_ = 0;           ///< slab bytes
+  std::size_t count_ = 0;              ///< live slots
+  std::size_t tail_low_ = 0;   ///< tails live in [tail_low_, capacity_)
+  std::size_t tail_bytes_ = 0; ///< of which live (the rest are holes)
+  std::uint64_t clock_ = 0;
+};
 
 }  // namespace cache_detail
 
@@ -270,39 +362,33 @@ class CostCache {
  public:
   explicit CostCache(const EvalCacheConfig& config);
 
-  /// Looks up `g`. Returns the cached breakdown after full-adjacency
-  /// verification, or nullptr (counting a miss, including on fingerprint
-  /// collisions that fail verification). `salt` is XORed into the lookup
+  /// Looks up `g`; on a verified hit copies the stored breakdown into `out`
+  /// and returns true. Otherwise counts a miss, including on fingerprint
+  /// collisions that fail verification. `salt` is XORed into the lookup
   /// key so evaluators scoring the same topologies under different
   /// objectives (plain vs resilient) index disjoint entries: equal
   /// topologies have equal fingerprints, so their keys differ unless the
   /// salts match too.
-  const CostBreakdown* find(const Topology& g, std::uint64_t salt = 0);
+  bool find(const Topology& g, CostBreakdown& out, std::uint64_t salt = 0);
 
   /// Stores `b` as the breakdown for `g` under `salt`, evicting the set's
-  /// LRU way if needed. Overwrites in place if `g` is already resident
+  /// LRU entries if needed. Replaces `g`'s entry if it is already resident
   /// under the same salt.
-  void insert(const Topology& g, const CostBreakdown& b,
-              std::uint64_t salt = 0);
+  cache_detail::InsertResult insert(const Topology& g, const CostBreakdown& b,
+                                    std::uint64_t salt = 0);
 
   const EvalCacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = EvalCacheStats{}; }
 
-  std::size_t size() const { return live_; }
-  std::size_t capacity() const { return num_sets_ * kWays; }
-
-  static constexpr std::size_t kWays = 4;  ///< associativity per set
+  /// Live entries.
+  std::size_t size() const;
+  /// Slab bytes allocated; never above max_bytes().
+  std::size_t resident_bytes() const;
+  std::size_t max_bytes() const { return set_budget_ * cache_detail::kSets; }
 
  private:
-  using Entry = cache_detail::Entry;
-
-  std::size_t set_base(std::uint64_t key) const;
-  Entry* find_entry(const Topology& g, std::uint64_t key);
-
-  std::size_t num_sets_;
-  std::vector<Entry> table_;  ///< num_sets_ * kWays ways, set-major
-  std::uint64_t clock_ = 0;
-  std::size_t live_ = 0;
+  std::size_t set_budget_;  ///< each set's share of the byte budget
+  std::vector<cache_detail::EntrySet> sets_;  ///< kSets, empty until used
+  std::vector<std::uint8_t> code_;  ///< encoding scratch for inserts
   EvalCacheStats stats_;
 };
 

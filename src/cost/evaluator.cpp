@@ -110,14 +110,8 @@ void Evaluator::init_engine_state() {
 Evaluator Evaluator::clone() const { return Evaluator(CloneTag{}, *this); }
 
 EvalCacheStats Evaluator::take_cache_stats() {
-  EvalCacheStats s = merged_cache_stats_;
-  merged_cache_stats_ = EvalCacheStats{};
-  if (cache_) {
-    s += cache_->stats();
-    cache_->reset_stats();
-  }
-  s += shared_stats_;
-  shared_stats_ = EvalCacheStats{};
+  EvalCacheStats s = std::exchange(merged_cache_stats_, {});
+  s += std::exchange(cache_stats_, {});
   return s;
 }
 
@@ -143,8 +137,7 @@ void detail::refund_evaluations(Evaluator& eval, std::size_t n) {
 
 EvalCacheStats Evaluator::cache_stats() const {
   EvalCacheStats s = merged_cache_stats_;
-  if (cache_) s += cache_->stats();
-  s += shared_stats_;
+  s += cache_stats_;
   return s;
 }
 
@@ -165,7 +158,7 @@ EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
   const std::uint64_t hint =
       req.parent_hint != 0 ? req.parent_hint : std::exchange(parent_hint_, 0);
   EvalResult r;
-  r.breakdown = breakdown_impl(g, hint);
+  r.breakdown = breakdown_impl(g, hint, /*probe_cache=*/!req.want_loads);
   if (req.want_loads && loads_valid_) {
     r.loads = loads_;
     r.loads_valid = true;
@@ -179,32 +172,33 @@ CostBreakdown Evaluator::breakdown(const Topology& g) {
   return evaluate(g).breakdown;
 }
 
-CostBreakdown Evaluator::breakdown_impl(const Topology& g,
-                                        std::uint64_t hint) {
+CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
+                                        bool probe_cache) {
   if (g.num_nodes() != num_nodes()) {
     throw std::invalid_argument("Evaluator: topology size mismatch");
   }
   // Cache hits count: evaluations_ tracks requested evaluations so budgets
   // and traces are identical whether or not the cache is enabled.
   ++evaluations_;
-  if (shared_cache_ != nullptr) {
+  if (probe_cache) {
     CostBreakdown hit;
-    if (shared_cache_->find(g, hit, cache_salt_)) {
-      ++shared_stats_.hits;
+    const bool found = shared_cache_ != nullptr
+                           ? shared_cache_->find(g, hit, cache_salt_)
+                           : cache_ != nullptr &&
+                                 cache_->find(g, hit, cache_salt_);
+    if (found) {
+      ++cache_stats_.hits;
       loads_valid_ = false;  // hit skips routing; loads_ is stale
       // The cache stores no routing state; keep any retained state for this
       // topology warm so its children can still delta from it.
       if (delta_store_) delta_store_->touch(g, g.fingerprint());
       return hit;
     }
-    ++shared_stats_.misses;
-  } else if (cache_ != nullptr) {
-    if (const CostBreakdown* hit = cache_->find(g, cache_salt_)) {
-      loads_valid_ = false;  // hit skips routing; loads_ is stale
-      if (delta_store_) delta_store_->touch(g, g.fingerprint());
-      return *hit;
-    }
   }
+  // A probe that found nothing, or one skipped because the caller wants
+  // loads: either way the evaluation falls through to routing, and the
+  // insert below refreshes the entry.
+  if (shared_cache_ != nullptr || cache_ != nullptr) ++cache_stats_.misses;
   if (delta_store_) return breakdown_delta(g, hint);
   if (resilience_ != nullptr) {
     // Keep the per-source trees: the failure sweep repairs them per
@@ -398,12 +392,14 @@ CostBreakdown Evaluator::finish_breakdown(
 }
 
 void Evaluator::insert_in_cache(const Topology& g, const CostBreakdown& b) {
+  cache_detail::InsertResult r;
   if (shared_cache_ != nullptr) {
-    if (shared_cache_->insert(g, b, cache_salt_)) ++shared_stats_.evictions;
-    ++shared_stats_.inserts;
+    r = shared_cache_->insert(g, b, cache_salt_);
   } else if (cache_ != nullptr) {
-    cache_->insert(g, b, cache_salt_);
+    r = cache_->insert(g, b, cache_salt_);
   }
+  if (r.stored) ++cache_stats_.inserts;
+  cache_stats_.evictions += r.evicted;
 }
 
 }  // namespace cold

@@ -9,8 +9,11 @@
 // read-only) and own private scratch.
 //
 // The evaluation engine (EvalEngineConfig) adds three orthogonal levers:
-//   * a memoization cache (cost/cost_cache.h) that short-circuits repeat
-//     evaluations by Zobrist fingerprint with full-adjacency verification;
+//   * a memoization cache (cost/cost_cache.h), on by default, that
+//     short-circuits repeat evaluations by Zobrist fingerprint with full
+//     edge-set verification. One byte-bounded cache is shared by the root
+//     evaluator and all its clones, and it allocates nothing until its
+//     first insert;
 //   * the shortest-path solver choice (graph/shortest_paths.h);
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips
@@ -55,8 +58,10 @@ struct EvalRequest {
   /// are verified by a real adjacency diff). 0 means "no hint", in which
   /// case any hint planted via the deprecated set_parent_hint() is used.
   std::uint64_t parent_hint = 0;
-  /// Copy the per-link loads into the result when the routing is feasible
-  /// and actually ran (cache hits skip routing and cannot produce loads).
+  /// Copy the per-link loads into the result when the routing is feasible.
+  /// Such an evaluation skips the cache probe (a hit would skip routing and
+  /// have no loads to return), routes, and refreshes the cache entry. It
+  /// counts as a cache miss.
   bool want_loads = false;
 };
 
@@ -65,7 +70,9 @@ struct EvalRequest {
 /// evaluation on the same evaluator.
 struct EvalResult {
   CostBreakdown breakdown;
-  /// True iff `loads` is populated (requested + feasible + freshly routed).
+  /// True iff `loads` is populated: requested and feasible. With
+  /// want_loads set, a feasible topology always returns loads, cached or
+  /// not.
   bool loads_valid = false;
   EdgeLoads loads;
 
@@ -144,12 +151,15 @@ class Evaluator {
   /// included — the counter tracks requested evaluations, not routings.
   std::size_t evaluations() const { return evaluations_; }
 
-  /// Cache counters: this instance's live cache (private or its own view of
-  /// the shared one) plus everything folded in via merge_stats(). All zeros
-  /// when the cache is disabled. With a shared cache each instance counts
-  /// its *own* lookups/inserts, so clone totals still sum without double
-  /// counting and conservation (hits + misses == lookups, inserts <= misses)
-  /// holds per instance and after every merge.
+  /// Cache counters: this instance's own cache operations (on its private
+  /// cache or the shared one) plus everything folded in via merge_stats().
+  /// All zeros when the cache is disabled. Each instance counts its *own*
+  /// lookups/inserts, so clone totals still sum without double counting and
+  /// conservation (hits + misses == lookups, inserts <= misses) holds per
+  /// instance and after every merge. With several threads sharing one
+  /// cache, the split between hits and misses depends on scheduling (two
+  /// workers can miss on the same topology at once); only conservation is
+  /// exact.
   EvalCacheStats cache_stats() const;
 
   /// Charges `n` evaluations that the GA's generation-level dedup served by
@@ -230,17 +240,18 @@ class Evaluator {
   /// from engine_; shared by both public ctors and the clone ctor.
   void init_engine_state();
 
-  /// Returns this instance's cache counters and zeroes them (the live
-  /// cache's, this instance's shared-cache view, and the merged
-  /// accumulator's).
+  /// Returns this instance's cache counters and zeroes them (its own
+  /// operations' and the merged accumulator's).
   EvalCacheStats take_cache_stats();
 
   /// Stores `b` for `g` in whichever cache (shared or private) is active.
   void insert_in_cache(const Topology& g, const CostBreakdown& b);
 
-  /// evaluate()'s core: cache probe, then routing (delta or full sweep).
-  /// `hint` is already resolved; does not touch parent_hint_.
-  CostBreakdown breakdown_impl(const Topology& g, std::uint64_t hint);
+  /// evaluate()'s core: cache probe (unless `probe_cache` is false), then
+  /// routing (delta or full sweep). `hint` is already resolved; does not
+  /// touch parent_hint_.
+  CostBreakdown breakdown_impl(const Topology& g, std::uint64_t hint,
+                               bool probe_cache);
 
   /// Routes `g` via the delta engine: incremental repair of a retained
   /// parent's trees when one matches, full (retained) sweep otherwise.
@@ -280,7 +291,7 @@ class Evaluator {
   EvalEngineConfig engine_;
   std::unique_ptr<CostCache> cache_;  ///< null when disabled or shared
   std::shared_ptr<SharedCostCache> shared_cache_;  ///< null unless shared
-  EvalCacheStats shared_stats_;  ///< *this* instance's shared-cache ops
+  EvalCacheStats cache_stats_;  ///< *this* instance's cache operations
   EvalCacheStats merged_cache_stats_;  ///< folded in from workers
   EdgeLoads loads_;  ///< O(n + m) per-link loads of the last feasible routing
   bool loads_valid_ = false;

@@ -3,98 +3,64 @@
 namespace cold {
 
 SharedCostCache::SharedCostCache(const EvalCacheConfig& config)
-    : sets_per_shard_(cache_detail::sets_for_capacity(
-          (config.capacity + kShards - 1) / kShards, kWays)),
-      shards_(std::make_unique<Shard[]>(kShards)) {
-  // Total capacity rounds up to at least kShards * kWays entries so every
-  // shard keeps at least one full set.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    shards_[s].table.resize(sets_per_shard_ * kWays);
-  }
-}
+    : shard_budget_(config.max_bytes / kShards) {}
 
-cache_detail::Entry* SharedCostCache::find_entry(Shard& shard,
-                                                 const Topology& g,
-                                                 std::uint64_t key) {
-  cache_detail::Entry* base = shard.table.data() + set_base(key);
-  for (std::size_t w = 0; w < kWays; ++w) {
-    cache_detail::Entry& e = base[w];
-    if (e.stamp != 0 && e.fingerprint == key &&
-        cache_detail::matches(e, g)) {
-      return &e;
-    }
-  }
-  return nullptr;
+SharedCostCache::Shard* SharedCostCache::shards() const {
+  // call_once orders the allocation before every caller that returns.
+  std::call_once(allocate_once_,
+                 [this] { shards_ = std::make_unique<Shard[]>(kShards); });
+  return shards_.get();
 }
 
 bool SharedCostCache::find(const Topology& g, CostBreakdown& out,
                            std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Shard& shard = shard_for(key);
+  Shard& shard = shards()[cache_detail::set_index(key)];
   const std::lock_guard<std::mutex> lock(shard.mu);
-  cache_detail::Entry* e = find_entry(shard, g, key);
-  if (e == nullptr) {
-    ++shard.stats.misses;
-    return false;
-  }
-  e->stamp = ++shard.clock;
-  ++shard.stats.hits;
-  out = e->value;
-  return true;
+  const bool hit = shard.set.find(g, key, out);
+  ++(hit ? shard.stats.hits : shard.stats.misses);
+  return hit;
 }
 
-bool SharedCostCache::insert(const Topology& g, const CostBreakdown& b,
-                             std::uint64_t salt) {
+cache_detail::InsertResult SharedCostCache::insert(const Topology& g,
+                                                   const CostBreakdown& b,
+                                                   std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Shard& shard = shard_for(key);
+  std::vector<std::uint8_t> code;  // encoded outside the shard lock
+  cache_detail::encode_edges(g, code);
+  Shard& shard = shards()[cache_detail::set_index(key)];
   const std::lock_guard<std::mutex> lock(shard.mu);
-  bool evicted = false;
-  cache_detail::Entry* victim = find_entry(shard, g, key);
-  if (victim == nullptr) {
-    // Prefer an empty way; otherwise evict the set's LRU entry.
-    cache_detail::Entry* base = shard.table.data() + set_base(key);
-    victim = base;
-    for (std::size_t w = 0; w < kWays; ++w) {
-      cache_detail::Entry& e = base[w];
-      if (e.stamp == 0) {
-        victim = &e;
-        break;
-      }
-      if (e.stamp < victim->stamp) victim = &e;
-    }
-    if (victim->stamp != 0) {
-      ++shard.stats.evictions;
-      evicted = true;
-    } else {
-      ++shard.live;
-    }
-    victim->fingerprint = key;
-    victim->n = static_cast<std::uint32_t>(g.num_nodes());
-    victim->m = static_cast<std::uint32_t>(g.num_edges());
-    cache_detail::pack_edges(g, victim->edges);
+  const cache_detail::InsertResult r =
+      shard.set.insert(g, b, key, code, shard_budget_);
+  if (r.stored) ++shard.stats.inserts;
+  shard.stats.evictions += r.evicted;
+  return r;
+}
+
+template <typename T, typename Read>
+T SharedCostCache::sum_shards(Read read) const {
+  T total{};
+  const Shard* all = shards();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::lock_guard<std::mutex> lock(all[s].mu);
+    total += read(all[s]);
   }
-  victim->value = b;
-  victim->stamp = ++shard.clock;
-  ++shard.stats.inserts;
-  return evicted;
+  return total;
 }
 
 EvalCacheStats SharedCostCache::stats() const {
-  EvalCacheStats total;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mu);
-    total += shards_[s].stats;
-  }
-  return total;
+  return sum_shards<EvalCacheStats>(
+      [](const Shard& s) { return s.stats; });
 }
 
 std::size_t SharedCostCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mu);
-    total += shards_[s].live;
-  }
-  return total;
+  return sum_shards<std::size_t>(
+      [](const Shard& s) { return s.set.size(); });
+}
+
+std::size_t SharedCostCache::resident_bytes() const {
+  return sum_shards<std::size_t>(
+      [](const Shard& s) { return s.set.resident_bytes(); });
 }
 
 }  // namespace cold

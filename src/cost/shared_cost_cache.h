@@ -3,15 +3,20 @@
 // The parallel GA scores offspring on Evaluator clones, and with private
 // per-clone caches an elite evaluated on worker 0 misses on worker 3.
 // SharedCostCache is one cache all clones of a run share: the same
-// set-associative LRU organisation as CostCache, but partitioned into
-// kShards independent shards, each guarded by its own mutex (lock
-// striping). A lookup or insert locks exactly one shard, so workers touch
-// disjoint shards concurrently and colliding workers serialize only
-// per-shard.
+// byte-bounded LRU sets as CostCache (cache_detail::EntrySet), each set a
+// shard guarded by its own mutex (lock striping). A lookup or insert locks
+// exactly one shard, so workers touch disjoint shards concurrently and
+// colliding workers serialize only per-shard.
 //
-// Placement: the shard comes from the *high* fingerprint bits, the set
-// within the shard from the *low* bits — independent slices of an already
-// avalanched 64-bit Zobrist fingerprint (graph/topology.h).
+// Placement: the shard comes from six bits of the already avalanched
+// 64-bit Zobrist fingerprint (graph/topology.h; cache_detail::set_index).
+//
+// Memory: construction allocates nothing; the first call allocates the
+// kShards shard headers (~9 KB), and a shard's slab (its share of
+// EvalCacheConfig::max_bytes) waits for that shard's first insert. So
+// building an evaluator costs no cache set-up, a run that never repeats a
+// topology pays almost nothing, and resident_bytes() never exceeds the
+// budget.
 //
 // Collision policy is identical to CostCache and non-negotiable: a hit is
 // reported only after full edge-set verification (cache_detail::matches),
@@ -51,12 +56,12 @@ class SharedCostCache {
   /// and resilient evaluations of identical topologies never conflate.
   bool find(const Topology& g, CostBreakdown& out, std::uint64_t salt = 0);
 
-  /// Stores `b` as the breakdown for `g` under `salt`, evicting the set's
-  /// LRU way if needed (overwriting in place if `g` is already resident
-  /// under the same salt, e.g. when two workers missed on the same topology
-  /// concurrently). Returns true iff a live entry was evicted.
-  bool insert(const Topology& g, const CostBreakdown& b,
-              std::uint64_t salt = 0);
+  /// Stores `b` as the breakdown for `g` under `salt`, evicting the
+  /// shard's LRU entries if needed (replacing `g`'s entry if it is already
+  /// resident under the same salt, e.g. when two workers missed on the same
+  /// topology concurrently).
+  cache_detail::InsertResult insert(const Topology& g, const CostBreakdown& b,
+                                    std::uint64_t salt = 0);
 
   /// Sums the per-shard counters (locks each shard once).
   EvalCacheStats stats() const;
@@ -64,34 +69,31 @@ class SharedCostCache {
   /// Live entries across all shards (locks each shard once).
   std::size_t size() const;
 
-  std::size_t capacity() const { return kShards * sets_per_shard_ * kWays; }
+  /// Slab bytes allocated across all shards (locks each shard once); never
+  /// above max_bytes(). The fixed shard headers are not included.
+  std::size_t resident_bytes() const;
 
-  static constexpr std::size_t kWays = CostCache::kWays;
-  static constexpr std::size_t kShards = 64;  ///< power of two (mask index)
+  std::size_t max_bytes() const { return shard_budget_ * kShards; }
+
+  static constexpr std::size_t kShards = cache_detail::kSets;
 
  private:
   struct Shard {
     mutable std::mutex mu;
-    std::vector<cache_detail::Entry> table;  ///< sets_per_shard_*kWays ways
-    std::uint64_t clock = 0;  ///< per-shard LRU stamp source
-    std::size_t live = 0;
+    cache_detail::EntrySet set;
     EvalCacheStats stats;
   };
 
-  Shard& shard_for(std::uint64_t key) {
-    // High bits pick the shard; set_base() below uses the low bits, so the
-    // two indices never alias.
-    return shards_[(key >> 48) & (kShards - 1)];
-  }
-  std::size_t set_base(std::uint64_t key) const {
-    return (key & (sets_per_shard_ - 1)) * kWays;
-  }
-  /// Returns the way storing `g` under `key` in (locked) `shard`, or nullptr.
-  cache_detail::Entry* find_entry(Shard& shard, const Topology& g,
-                                  std::uint64_t key);
+  /// The shard array, allocated by the first call (of any method).
+  Shard* shards() const;
 
-  std::size_t sets_per_shard_;
-  std::unique_ptr<Shard[]> shards_;  ///< mutexes make Shard non-movable
+  /// Sums read(shard) over all shards, locking each once.
+  template <typename T, typename Read>
+  T sum_shards(Read read) const;
+
+  std::size_t shard_budget_;  ///< each shard's share of the byte budget
+  mutable std::once_flag allocate_once_;
+  mutable std::unique_ptr<Shard[]> shards_;  ///< set under allocate_once_
 };
 
 }  // namespace cold

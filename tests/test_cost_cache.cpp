@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/context.h"
 #include "cost/evaluator.h"
@@ -11,6 +16,14 @@
 
 namespace cold {
 namespace {
+
+// CostCache::find as an optional, for terse assertions.
+std::optional<CostBreakdown> lookup(CostCache& cache, const Topology& g,
+                                    std::uint64_t salt = 0) {
+  CostBreakdown out;
+  if (!cache.find(g, out, salt)) return std::nullopt;
+  return out;
+}
 
 CostBreakdown feasible_breakdown(double existence) {
   CostBreakdown b;
@@ -28,13 +41,30 @@ Context small_context(std::size_t n, std::uint64_t seed) {
 
 const CostParams kCosts{10.0, 1.0, 4e-4, 10.0};
 
+// `count` distinct single-edge graphs on 64 nodes whose fingerprints select
+// the same cache set, with every pair index u * 64 + v in [256, 16384) so
+// each encodes in exactly 2 bytes.
+std::vector<Topology> same_set_graphs(std::size_t count) {
+  std::vector<Topology> out;
+  for (NodeId u = 4; u < 64 && out.size() < count; ++u) {
+    for (NodeId v = u + 1; v < 64 && out.size() < count; ++v) {
+      Topology g = Topology::from_edges(64, {{u, v}});
+      if (out.empty() || cache_detail::set_index(g.fingerprint()) ==
+                             cache_detail::set_index(out[0].fingerprint())) {
+        out.push_back(std::move(g));
+      }
+    }
+  }
+  return out;
+}
+
 TEST(CostCache, MissThenHitWithCounters) {
-  CostCache cache(EvalCacheConfig{true, 64});
+  CostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(4, {{0, 1}, {1, 2}});
-  EXPECT_EQ(cache.find(g), nullptr);
+  EXPECT_EQ(lookup(cache, g), std::nullopt);
   cache.insert(g, feasible_breakdown(20.0));
-  const CostBreakdown* hit = cache.find(g);
-  ASSERT_NE(hit, nullptr);
+  const std::optional<CostBreakdown> hit = lookup(cache, g);
+  ASSERT_NE(hit, std::nullopt);
   EXPECT_TRUE(hit->feasible);
   EXPECT_DOUBLE_EQ(hit->existence, 20.0);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -48,48 +78,150 @@ TEST(CostCache, MissThenHitWithCounters) {
 TEST(CostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
   // Same edge set on different node counts XORs to the same fingerprint;
   // full verification must still reject the lookup.
-  CostCache cache(EvalCacheConfig{true, 64});
+  CostCache cache(EvalCacheConfig{});
   const Topology a = Topology::from_edges(4, {{0, 1}});
   const Topology b = Topology::from_edges(5, {{0, 1}});
   ASSERT_EQ(a.fingerprint(), b.fingerprint());
   cache.insert(a, feasible_breakdown(1.0));
-  EXPECT_EQ(cache.find(b), nullptr);
+  EXPECT_EQ(lookup(cache, b), std::nullopt);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_NE(cache.find(a), nullptr);
+  EXPECT_NE(lookup(cache, a), std::nullopt);
+}
+
+TEST(CostCache, VerificationRejectsForgedKeyWithEqualShape) {
+  // Two graphs with equal n and m but different edges, forced onto one key
+  // through the salt: only the encoded edge sets tell them apart.
+  CostCache cache(EvalCacheConfig{});
+  const Topology a = Topology::from_edges(40, {{0, 1}, {2, 39}, {7, 8}});
+  const Topology b = Topology::from_edges(40, {{0, 1}, {2, 38}, {7, 8}});
+  const std::uint64_t salt_b = a.fingerprint() ^ b.fingerprint();
+  ASSERT_EQ(a.fingerprint(), b.fingerprint() ^ salt_b);
+  cache.insert(a, feasible_breakdown(1.0));
+  EXPECT_EQ(lookup(cache, b, salt_b), std::nullopt);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  ASSERT_NE(lookup(cache, a), std::nullopt);
+  EXPECT_DOUBLE_EQ(lookup(cache, a)->existence, 1.0);
+}
+
+TEST(CostCache, StoresSummariesExactly) {
+  // Entries keep the two summaries only when set; either way a hit returns
+  // the stored breakdown field for field.
+  CostCache cache(EvalCacheConfig{});
+  const Topology plain = Topology::from_edges(5, {{0, 1}, {1, 2}});
+  const Topology rich = Topology::from_edges(5, {{0, 1}, {3, 4}});
+  CostBreakdown b = feasible_breakdown(3.0);
+  b.resilience = 0.25;
+  b.resilience_summary.scenarios = 7;
+  b.resilience_summary.worst_stretch = 1.5;
+  b.multipath_summary.max_utilization = 2.0 / 3.0;
+  cache.insert(plain, feasible_breakdown(4.0));
+  cache.insert(rich, b);
+  const std::optional<CostBreakdown> got = lookup(cache, rich);
+  ASSERT_NE(got, std::nullopt);
+  EXPECT_EQ(got->existence, 3.0);
+  EXPECT_EQ(got->resilience, 0.25);
+  EXPECT_EQ(got->resilience_summary, b.resilience_summary);
+  EXPECT_EQ(got->multipath_summary, b.multipath_summary);
+  const std::optional<CostBreakdown> bare = lookup(cache, plain);
+  ASSERT_NE(bare, std::nullopt);
+  EXPECT_EQ(bare->resilience_summary, ResilienceSummary{});
+  EXPECT_EQ(bare->multipath_summary, MultipathSummary{});
+}
+
+TEST(CostCache, ChurnKeepsResidentEntriesIntact) {
+  // A small budget forces evictions and tail packing in every set; each
+  // hit must still return its own topology's terms and summaries.
+  CostCache cache(EvalCacheConfig{.max_bytes = cache_detail::kSets * 600});
+  std::vector<Topology> graphs;
+  for (NodeId u = 0; u < 40; ++u) {
+    for (NodeId v = u + 1; v < 40; v += 3) {
+      graphs.push_back(Topology::from_edges(40, {{u, v}, {0, 39}}));
+    }
+  }
+  const auto stored = [](std::size_t i) {
+    CostBreakdown b = feasible_breakdown(static_cast<double>(i));
+    if (i % 2 == 0) b.resilience_summary.scenarios = i;  // tails vary
+    return b;
+  };
+  std::size_t hits = 0;
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      if (const std::optional<CostBreakdown> got = lookup(cache, graphs[i])) {
+        ++hits;
+        ASSERT_EQ(got->existence, static_cast<double>(i));
+        ASSERT_EQ(got->resilience_summary, stored(i).resilience_summary);
+      } else {
+        cache.insert(graphs[i], stored(i));
+      }
+      ASSERT_LE(cache.resident_bytes(), cache.max_bytes());
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.size(), cache.stats().inserts - cache.stats().evictions);
+}
+
+TEST(CostCache, AllocatesNothingBeforeFirstInsert) {
+  CostCache cache(EvalCacheConfig{});
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  const Topology g = Topology::from_edges(4, {{0, 1}, {1, 2}});
+  EXPECT_EQ(lookup(cache, g), std::nullopt);
+  EXPECT_EQ(cache.resident_bytes(), 0u);  // a miss allocates nothing
+  cache.insert(g, feasible_breakdown(1.0));
+  EXPECT_GT(cache.resident_bytes(), 0u);
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+}
+
+TEST(CostCache, EntryLargerThanASetIsNotStored) {
+  // A 64-byte budget leaves each set one byte: no entry fits, so inserts
+  // store nothing, count nothing and allocate nothing.
+  CostCache cache(EvalCacheConfig{.max_bytes = cache_detail::kSets});
+  const Topology g = Topology::from_edges(4, {{0, 1}});
+  const cache_detail::InsertResult r = cache.insert(g, feasible_breakdown(1));
+  EXPECT_FALSE(r.stored);
+  EXPECT_EQ(r.evicted, 0u);
+  EXPECT_EQ(cache.stats().inserts, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  EXPECT_EQ(lookup(cache, g), std::nullopt);
 }
 
 TEST(CostCache, OverwritesInPlace) {
-  CostCache cache(EvalCacheConfig{true, 64});
+  CostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(3, {{0, 1}});
   cache.insert(g, feasible_breakdown(1.0));
   cache.insert(g, feasible_breakdown(2.0));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().inserts, 2u);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_DOUBLE_EQ(cache.find(g)->existence, 2.0);
+  EXPECT_DOUBLE_EQ(lookup(cache, g)->existence, 2.0);
 }
 
 TEST(CostCache, LruEvictsLeastRecentlyUsed) {
-  // Capacity 4 = exactly one 4-way set, so all entries compete and the LRU
-  // policy is fully observable.
-  CostCache cache(EvalCacheConfig{true, 4});
-  ASSERT_EQ(cache.capacity(), 4u);
-  std::vector<Topology> graphs;
-  for (NodeId v = 1; v <= 5; ++v) {
-    graphs.push_back(Topology::from_edges(6, {{0, v}}));
-  }
+  // Five single-edge graphs that land in one set, each encoded in 2 bytes
+  // (pair index u * n + v >= 128), under a budget that holds exactly four
+  // of them per set: all five compete and the LRU policy is observable.
+  const std::vector<Topology> graphs = same_set_graphs(5);
+  constexpr std::size_t kSetBudget =
+      4 * cache_detail::EntrySet::kSlotBytes + 4 * 2;
+  CostCache cache(EvalCacheConfig{.max_bytes = cache_detail::kSets *
+                                               kSetBudget});
+  ASSERT_EQ(cache.max_bytes(), cache_detail::kSets * kSetBudget);
   for (int i = 0; i < 4; ++i) {
     cache.insert(graphs[i], feasible_breakdown(i));
   }
-  ASSERT_NE(cache.find(graphs[0]), nullptr);  // freshen graph 0
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  ASSERT_NE(lookup(cache, graphs[0]), std::nullopt);  // freshen graph 0
   cache.insert(graphs[4], feasible_breakdown(4.0));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.find(graphs[1]), nullptr);  // the LRU entry was evicted
-  EXPECT_NE(cache.find(graphs[0]), nullptr);
-  EXPECT_NE(cache.find(graphs[2]), nullptr);
-  EXPECT_NE(cache.find(graphs[3]), nullptr);
-  EXPECT_NE(cache.find(graphs[4]), nullptr);
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+  // The LRU entry was evicted.
+  EXPECT_EQ(lookup(cache, graphs[1]), std::nullopt);
+  EXPECT_NE(lookup(cache, graphs[0]), std::nullopt);
+  EXPECT_NE(lookup(cache, graphs[2]), std::nullopt);
+  EXPECT_NE(lookup(cache, graphs[3]), std::nullopt);
+  EXPECT_NE(lookup(cache, graphs[4]), std::nullopt);
 }
 
 TEST(EvaluatorCache, CachedResultsAreBitIdentical) {
@@ -198,6 +330,40 @@ TEST(EvaluatorLoads, LastLoadsRequiresFreshFeasibleRouting) {
   ASSERT_TRUE(eval.breakdown(ring).feasible);  // cache hit: routing skipped
   EXPECT_FALSE(eval.has_last_loads());
   EXPECT_THROW(eval.last_loads(), std::logic_error);
+}
+
+TEST(EvaluatorLoads, WantLoadsRoutesEvenWhenCached) {
+  // With the cache on (the default, shared or private), asking for loads
+  // must never come back empty because the topology is resident: the
+  // evaluation skips the probe, routes, and refreshes the entry.
+  const Context ctx = small_context(9, 8);
+  for (const bool shared : {true, false}) {
+    EvalEngineConfig engine;
+    engine.cache.shared = shared;
+    Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
+    const Topology g = Topology::complete(9);
+    const EvalResult first = eval.evaluate(g, {.want_loads = true});
+    const EvalResult second = eval.evaluate(g, {.want_loads = true});
+    ASSERT_TRUE(first.loads_valid);
+    ASSERT_TRUE(second.loads_valid);
+    ASSERT_EQ(first.loads.value.size(), g.num_edges());
+    ASSERT_EQ(second.loads.value.size(), g.num_edges());
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(first.loads.value[e]),
+                std::bit_cast<std::uint64_t>(second.loads.value[e]))
+          << e;
+    }
+    EXPECT_EQ(first.total(), second.total());
+    // The refreshed entry serves a plain evaluation; conservation holds.
+    const EvalResult hit = eval.evaluate(g);
+    EXPECT_FALSE(hit.loads_valid);
+    EXPECT_EQ(hit.total(), first.total());
+    const EvalCacheStats stats = eval.cache_stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.inserts, 2u);
+    EXPECT_EQ(stats.hits + stats.misses, eval.evaluations());
+  }
 }
 
 // The engine's headline guarantee: the GA trajectory is invariant under

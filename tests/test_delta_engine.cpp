@@ -29,6 +29,9 @@ Context small_context(std::size_t n, std::uint64_t seed) {
 EvalEngineConfig delta_on() {
   EvalEngineConfig engine;
   engine.delta.mode = DsspMode::kOn;
+  // These tests count delta hits and fallbacks per evaluation; a cache hit
+  // would skip routing, so the cache is off unless a test turns it on.
+  engine.cache.enabled = false;
   return engine;
 }
 

@@ -174,7 +174,7 @@ struct ExactnessCase {
   const char* name;
   std::size_t n;
   bool matrix_free;      ///< both dense thresholds at 0 for the whole run
-  bool cache_and_delta;  ///< cost cache + delta engine, else the defaults
+  bool cache_and_delta;  ///< cost cache + delta engine, else neither
 };
 
 void PrintTo(const ExactnessCase& c, std::ostream* os) { *os << c.name; }
@@ -197,10 +197,8 @@ std::vector<StrategyOutcome> run_each_strategy(const ExactnessCase& c,
   const Context ctx = generate_context(context, context_rng);
   EXPECT_EQ(ctx.distances.has_dense(), !c.matrix_free);
   EvalEngineConfig engine;
-  if (c.cache_and_delta) {
-    engine.cache.enabled = true;
-    engine.delta.mode = DsspMode::kOn;
-  }
+  engine.cache.enabled = c.cache_and_delta;
+  if (c.cache_and_delta) engine.delta.mode = DsspMode::kOn;
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{10, 1, 4e-4, 10},
                  engine);
   HubHeuristicOptions options;

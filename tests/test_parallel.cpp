@@ -100,16 +100,21 @@ TEST(ThreadPool, RunTasksBatch) {
 }
 
 Evaluator make_evaluator(std::size_t n, CostParams params,
-                         std::uint64_t seed = 1) {
+                         std::uint64_t seed = 1, EvalEngineConfig engine = {}) {
   ContextConfig cfg;
   cfg.num_pops = n;
   Rng rng(seed);
   const Context ctx = generate_context(cfg, rng);
-  return Evaluator(ctx.distances, ctx.traffic, params);
+  return Evaluator(ctx.distances, ctx.traffic, params, engine);
 }
 
 TEST(EvaluatorClone, SharesContextOwnsScratch) {
-  Evaluator eval = make_evaluator(10, CostParams{10, 1, 4e-4, 10});
+  // Uncached: both instances must route (a shared-cache hit on the second
+  // would leave it without loads to compare).
+  EvalEngineConfig uncached;
+  uncached.cache.enabled = false;
+  Evaluator eval =
+      make_evaluator(10, CostParams{10, 1, 4e-4, 10}, /*seed=*/1, uncached);
   Evaluator copy = eval.clone();
   // Shared immutable context: the provider/CSR value copies alias one core
   // (no deep copy of the matrices).

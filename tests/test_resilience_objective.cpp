@@ -257,14 +257,13 @@ TEST(CacheSalt, PrivateCacheSeparatesObjectives) {
   resilient.resilience = 7.0;
 
   cache.insert(g, plain, /*salt=*/0);
-  EXPECT_EQ(cache.find(g, /*salt=*/0x5a5a), nullptr);  // salted probe misses
+  CostBreakdown a, b;
+  EXPECT_FALSE(cache.find(g, b, /*salt=*/0x5a5a));  // salted probe misses
   cache.insert(g, resilient, /*salt=*/0x5a5a);
-  const CostBreakdown* a = cache.find(g, 0);
-  const CostBreakdown* b = cache.find(g, 0x5a5a);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->resilience, 0.0);
-  EXPECT_EQ(b->resilience, 7.0);
+  ASSERT_TRUE(cache.find(g, a, 0));
+  ASSERT_TRUE(cache.find(g, b, 0x5a5a));
+  EXPECT_EQ(a.resilience, 0.0);
+  EXPECT_EQ(b.resilience, 7.0);
 }
 
 TEST(CacheSalt, SharedCacheSeparatesObjectives) {

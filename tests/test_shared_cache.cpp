@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -47,7 +48,7 @@ const CostParams kCosts{10.0, 1.0, 4e-4, 10.0};
 // ---------------------------------------------------------------------------
 
 TEST(SharedCostCache, MissThenVerifiedHit) {
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(4, {{0, 1}, {1, 2}});
   CostBreakdown out;
   EXPECT_FALSE(cache.find(g, out));
@@ -66,7 +67,7 @@ TEST(SharedCostCache, MissThenVerifiedHit) {
 TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
   // Same edge set on different node counts XORs to the same fingerprint;
   // full verification must still reject the lookup.
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{});
   const Topology a = Topology::from_edges(4, {{0, 1}});
   const Topology b = Topology::from_edges(5, {{0, 1}});
   ASSERT_EQ(a.fingerprint(), b.fingerprint());
@@ -78,7 +79,7 @@ TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
 }
 
 TEST(SharedCostCache, OverwritesInPlace) {
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(3, {{0, 1}});
   cache.insert(g, feasible_breakdown(1.0));
   cache.insert(g, feasible_breakdown(2.0));
@@ -91,12 +92,12 @@ TEST(SharedCostCache, OverwritesInPlace) {
 }
 
 TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
-  // The minimum geometry is 64 shards x 1 set x 4 ways = 256 entries;
-  // inserting every single-edge topology of K_70 (2415 distinct graphs)
-  // must evict, stay within capacity, and keep size == inserts - evictions
-  // (all graphs distinct, so no overwrites).
-  SharedCostCache cache(EvalCacheConfig{true, 64, true});
-  ASSERT_EQ(cache.capacity(), 256u);
+  // A 64 KiB budget gives each of the 64 shards 1 KiB, a handful of
+  // entries; inserting every single-edge topology of K_70 (2415 distinct
+  // graphs) must evict, stay within the byte budget, and keep
+  // size == inserts - evictions (all graphs distinct, so no overwrites).
+  SharedCostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
+  ASSERT_EQ(cache.max_bytes(), 64u << 10);
   std::size_t inserted = 0;
   for (NodeId u = 0; u < 70; ++u) {
     for (NodeId v = u + 1; v < 70; ++v) {
@@ -108,8 +109,58 @@ TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
   const EvalCacheStats stats = cache.stats();
   EXPECT_EQ(stats.inserts, inserted);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
   EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
+}
+
+TEST(SharedCostCache, InsertStormAtN2000StaysUnderByteBudget) {
+  // City-scale entries (n = 2000, m ~ 2100, ~4 KB encoded each). Under a
+  // 128 KiB budget (the default) they exceed a shard's 2 KiB share and are
+  // never stored; 1 MiB holds a few per shard, so 300 graphs churn. Both
+  // keep the resident bytes within the budget and the counters conserved.
+  constexpr NodeId kN = 2000;
+  Rng rng(2000);
+  std::vector<Topology> graphs;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Edge> edges;
+    for (NodeId v = 1; v < kN; ++v) {
+      edges.push_back({static_cast<NodeId>(rng.uniform_index(v)), v});
+    }
+    for (int c = 0; c < 100; ++c) {
+      const NodeId u = static_cast<NodeId>(rng.uniform_index(kN));
+      const NodeId v = static_cast<NodeId>(rng.uniform_index(kN));
+      if (u != v) edges.push_back({u, v});
+    }
+    graphs.push_back(Topology::from_edges(kN, edges));
+  }
+  for (const std::size_t budget : {std::size_t{128} << 10,
+                                   std::size_t{1} << 20}) {
+    SharedCostCache cache(EvalCacheConfig{.max_bytes = budget});
+    std::size_t finds = 0;
+    for (std::size_t round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        CostBreakdown out;
+        ++finds;
+        if (cache.find(graphs[i], out)) {
+          EXPECT_EQ(out.existence, static_cast<double>(i));
+        } else {
+          cache.insert(graphs[i], feasible_breakdown(static_cast<double>(i)));
+        }
+        ASSERT_LE(cache.resident_bytes(), cache.max_bytes());
+      }
+    }
+    const EvalCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, finds);
+    EXPECT_LE(stats.inserts, stats.misses);
+    EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
+    if (budget < (std::size_t{1} << 20)) {
+      EXPECT_EQ(stats.inserts, 0u);
+      EXPECT_EQ(cache.resident_bytes(), 0u);
+    } else {
+      EXPECT_GT(cache.size(), 0u);
+      EXPECT_GT(stats.evictions, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -117,11 +168,12 @@ TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
 // ---------------------------------------------------------------------------
 
 TEST(SharedCostCacheStress, EightThreadsOnCollidingShards) {
-  // Small capacity forces constant eviction churn: 512 distinct topologies
-  // compete for 256 ways. Each topology's identity is encoded in its stored
-  // breakdown, so any cross-entry corruption (a hit returning another
-  // graph's value) is detected exactly.
-  SharedCostCache cache(EvalCacheConfig{true, 64, true});
+  // A small budget forces constant eviction churn: 512 distinct
+  // topologies compete for ~5 entries per shard (1 KiB each). Each
+  // topology's identity is encoded in its stored breakdown, so any
+  // cross-entry corruption (a hit returning another graph's value) is
+  // detected exactly.
+  SharedCostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
   constexpr std::size_t kGraphs = 512;
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kOpsPerThread = 10'000;
@@ -167,7 +219,7 @@ TEST(SharedCostCacheStress, EightThreadsOnCollidingShards) {
   EXPECT_EQ(stats.hits + stats.misses, finds.load());
   EXPECT_EQ(stats.inserts, stats.misses);  // every miss inserted exactly once
   EXPECT_LE(stats.evictions, stats.inserts);
-  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);  // churn actually happened
 }
@@ -205,6 +257,24 @@ TEST(SharedEvaluatorCache, CloneHitsOnPrimaryInsert) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.hits + stats.misses, eval.evaluations());
+}
+
+TEST(SharedEvaluatorCache, FreshEvaluatorHoldsNoShardTables) {
+  const Context ctx = small_context(8, 7);
+  Evaluator eval(ctx.distances, ctx.traffic, kCosts);  // default engine
+  ASSERT_NE(eval.shared_cache(), nullptr);
+  EXPECT_EQ(eval.shared_cache()->resident_bytes(), 0u);
+  Evaluator worker = eval.clone();
+  EXPECT_EQ(worker.shared_cache()->resident_bytes(), 0u);
+
+  const Topology g = Topology::complete(8);
+  worker.cost(g);  // first insert allocates exactly one shard's arrays
+  const std::size_t one = eval.shared_cache()->resident_bytes();
+  EXPECT_GT(one, 0u);
+  EXPECT_LE(one, eval.shared_cache()->max_bytes());
+  eval.cost(g);  // a hit allocates nothing
+  EXPECT_EQ(eval.shared_cache()->resident_bytes(), one);
+  EXPECT_EQ(eval.cache_stats().hits, 1u);
 }
 
 TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
@@ -278,6 +348,72 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
   out.best_cost = r.ga.best_cost;
   out.evaluations = r.ga.evaluations;
   return out;
+}
+
+struct SynthesisOutcome {
+  std::vector<Edge> edges;
+  std::uint64_t cost_bits = 0;
+  CostBreakdown cost;
+  std::vector<double> history;
+  std::size_t evaluations = 0;
+  std::string report;  ///< timing-free: per-phase evaluation counts
+};
+
+SynthesisOutcome synthesize_with(std::size_t pops, bool cache,
+                                 std::size_t threads) {
+  SynthesisConfig cfg;
+  cfg.context.num_pops = pops;
+  cfg.ga.population = 16;
+  cfg.ga.generations = 6;
+  cfg.ga.parallel.num_threads = threads;
+  cfg.engine.cache.enabled = cache;
+  JsonReportSink report;
+  cfg.observer = &report;
+  const SynthesisResult r = Synthesizer(cfg).synthesize(41);
+  return {r.ga.best.edges(),
+          std::bit_cast<std::uint64_t>(r.ga.best_cost),
+          r.cost,
+          r.ga.best_cost_history,
+          r.ga.evaluations,
+          run_report_to_json(report.report(), /*include_timing=*/false)};
+}
+
+std::vector<std::uint64_t> breakdown_bits(const CostBreakdown& b) {
+  const ResilienceSummary& rs = b.resilience_summary;
+  const MultipathSummary& ms = b.multipath_summary;
+  std::vector<std::uint64_t> out{b.feasible, rs.scenarios, rs.disconnecting};
+  for (const double d :
+       {b.existence, b.length, b.bandwidth, b.node, b.resilience, b.multipath,
+        rs.disconnected_fraction, rs.mean_stretch, rs.worst_stretch,
+        rs.worst_utilization, ms.reference_capacity, ms.max_utilization,
+        ms.oversubscription}) {
+    out.push_back(std::bit_cast<std::uint64_t>(d));
+  }
+  return out;
+}
+
+TEST(CacheExactness, DefaultEngineMatchesUncachedSynthesis) {
+  // The default engine (shared cache on) against cache off, heuristics on,
+  // at n = 30 (dense kernel) and n = 80 (sparse), at 1, 2 and 4 threads.
+  for (const std::size_t pops : {30u, 80u}) {
+    const SynthesisOutcome reference = synthesize_with(pops, false, 1);
+    ASSERT_FALSE(reference.history.empty());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const bool cache : {true, false}) {
+        const SynthesisOutcome got = synthesize_with(pops, cache, threads);
+        const std::string label = "n=" + std::to_string(pops) +
+                                  " threads=" + std::to_string(threads) +
+                                  " cache=" + std::to_string(cache);
+        EXPECT_EQ(got.edges, reference.edges) << label;
+        EXPECT_EQ(got.cost_bits, reference.cost_bits) << label;
+        EXPECT_EQ(breakdown_bits(got.cost), breakdown_bits(reference.cost))
+            << label;
+        EXPECT_EQ(got.history, reference.history) << label;
+        EXPECT_EQ(got.evaluations, reference.evaluations) << label;
+        EXPECT_EQ(got.report, reference.report) << label;
+      }
+    }
+  }
 }
 
 TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {

@@ -701,6 +701,9 @@ TEST(RunReport, WorkerSplitAndStealsRoundTripWhenTimed) {
   // travel inside the dsssp object, timing-gated like the aggregate trio.
   SynthesisConfig cfg = small_config();
   cfg.engine.delta.mode = DsspMode::kOn;
+  // Uncached, so every evaluation reaches the delta engine and the
+  // assembly re-score below is a delta evaluation, not a cache hit.
+  cfg.engine.cache.enabled = false;
   cfg.ga.parallel.num_threads = 4;
   JsonReportSink sink;
   cfg.observer = &sink;

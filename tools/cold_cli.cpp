@@ -3,8 +3,7 @@
 //   cold synth    [--pops N] [--k0 X --k2 X --k3 X] [--seed S]
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
-//                 [--max-evals N] [--eval-cache] [--eval-cache-size N]
-//                 [--dedup] [--dijkstra auto|dense|sparse]
+//                 [--max-evals N] [--dedup] [--dijkstra auto|dense|sparse]
 //                 [--dsssp on|off|auto] [--affinity on|off]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
@@ -74,8 +73,6 @@ const std::vector<OptionSpec> kGaOpts = {
 // Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
 // produces bit-identical networks; these trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
-    {"eval-cache", false, "memoize cost evaluations"},
-    {"eval-cache-size", true, "N entries (16384)"},
     {"dedup", false, "score each distinct GA offspring once"},
     {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
@@ -225,10 +222,9 @@ void print_usage() {
       "            synth/ensemble/grow also take --progress, --max-seconds T\n"
       "            and --max-evals N (stop budgets; partial results stay\n"
       "            valid)\n"
-      "  engine    (synth/ensemble/grow): --eval-cache memoizes cost\n"
-      "            evaluations in one cache shared by every worker\n"
-      "            thread, --eval-cache-size N bounds it (16384),\n"
-      "            --dedup scores each distinct GA\n"
+      "  engine    (synth/ensemble/grow): cost evaluations are always\n"
+      "            memoized in one byte-bounded cache shared by every\n"
+      "            worker thread; --dedup scores each distinct GA\n"
       "            offspring once per generation, --dijkstra\n"
       "            auto|dense|sparse picks the shortest-path solver, and\n"
       "            --dsssp on|off|auto re-routes near-parent offspring\n"
@@ -303,9 +299,6 @@ EvalEngineConfig engine_from(const CliOptions& args) {
     DistanceProvider::set_dense_auto_threshold(threshold);
   }
   EvalEngineConfig engine;
-  engine.cache.enabled = args.has("eval-cache");
-  engine.cache.capacity =
-      args.uint("eval-cache-size", engine.cache.capacity);
   const std::string algo = args.get("dijkstra", "auto");
   if (algo == "auto") {
     engine.sp_algorithm = SpAlgorithm::kAuto;
