@@ -1,9 +1,11 @@
 #include "core/synthesizer.h"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "cost/evaluator.h"
+#include "util/thread_pool.h"
 
 namespace cold {
 
@@ -119,8 +121,17 @@ SynthesisResult Synthesizer::optimize(
   }
   {
     PhaseTimer timer(observer, Phase::kAssembly, eval_count, engine_count);
-    result.cost = eval.evaluate(result.ga.best).breakdown;
+    // The GA's threads are idle now: lend them to the winner's two full
+    // routings (its re-score and the capacity sweep). Bit-identical at any
+    // thread count; at one thread no pool exists and both run serially.
+    const std::size_t threads = config_.ga.parallel.resolved_threads();
+    const std::unique_ptr<ThreadPool> pool =
+        threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+    EvalRequest request;
+    request.pool = pool.get();
+    result.cost = eval.evaluate(result.ga.best, request).breakdown;
     NetworkBuildOptions build_options;
+    build_options.pool = pool.get();
     build_options.overprovision = config_.overprovision;
     // Provision capacities for the loads the objective optimized: the built
     // network's link loads are the winner's evaluation loads bit for bit.

@@ -158,7 +158,8 @@ EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
   const std::uint64_t hint =
       req.parent_hint != 0 ? req.parent_hint : std::exchange(parent_hint_, 0);
   EvalResult r;
-  r.breakdown = breakdown_impl(g, hint, /*probe_cache=*/!req.want_loads);
+  r.breakdown =
+      breakdown_impl(g, hint, /*probe_cache=*/!req.want_loads, req.pool);
   if (req.want_loads && loads_valid_) {
     r.loads = loads_;
     r.loads_valid = true;
@@ -173,7 +174,7 @@ CostBreakdown Evaluator::breakdown(const Topology& g) {
 }
 
 CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
-                                        bool probe_cache) {
+                                        bool probe_cache, ThreadPool* pool) {
   if (g.num_nodes() != num_nodes()) {
     throw std::invalid_argument("Evaluator: topology size mismatch");
   }
@@ -199,7 +200,7 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
   // loads: either way the evaluation falls through to routing, and the
   // insert below refreshes the entry.
   if (shared_cache_ != nullptr || cache_ != nullptr) ++cache_stats_.misses;
-  if (delta_store_) return breakdown_delta(g, hint);
+  if (delta_store_) return breakdown_delta(g, hint, pool);
   if (resilience_ != nullptr) {
     // Keep the per-source trees: the failure sweep repairs them per
     // scenario instead of recomputing the candidate's routing n times.
@@ -207,30 +208,32 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
     // (Multipath is mutually exclusive with resilience, so this path is
     // always single-path routing.)
     if (!route_loads_retained(g, lengths_, traffic_, loads_,
-                              resilience_trees_, ws_, engine_.sp_algorithm)) {
+                              resilience_trees_, ws_, engine_.sp_algorithm,
+                              pool)) {
       return infeasible_breakdown(g);
     }
     return finish_breakdown(g, &resilience_trees_);
   }
-  if (!route_candidate(g)) {
+  if (!route_candidate(g, pool)) {
     return infeasible_breakdown(g);  // disconnected: cannot carry traffic
   }
   return finish_breakdown(g, nullptr);
 }
 
-bool Evaluator::route_candidate(const Topology& g) {
+bool Evaluator::route_candidate(const Topology& g, ThreadPool* pool) {
   // kOff forwards to route_loads verbatim, so plain runs take the exact
   // historical path.
   return route_loads_multipath(g, lengths_, traffic_, engine_.multipath.mode,
                                loads_, ws_, &multipath_stats_,
-                               engine_.sp_algorithm);
+                               engine_.sp_algorithm, pool);
 }
 
 bool Evaluator::route_candidate_retained(const Topology& g,
-                                         std::vector<ShortestPathTree>& trees) {
+                                         std::vector<ShortestPathTree>& trees,
+                                         ThreadPool* pool) {
   return route_loads_multipath_retained(
       g, lengths_, traffic_, engine_.multipath.mode, loads_, trees, ws_,
-      &multipath_stats_, engine_.sp_algorithm);
+      &multipath_stats_, engine_.sp_algorithm, pool);
 }
 
 void Evaluator::accumulate_candidate(const Topology& g,
@@ -246,7 +249,7 @@ void Evaluator::accumulate_candidate(const Topology& g,
 }
 
 CostBreakdown Evaluator::breakdown_delta(const Topology& g,
-                                         std::uint64_t hint) {
+                                         std::uint64_t hint, ThreadPool* pool) {
   const std::size_t n = g.num_nodes();
   RoutingState* parent = delta_store_->match(
       g, hint, engine_.delta.max_diff_edges, diff_added_, diff_removed_);
@@ -255,7 +258,7 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
     // this topology can serve as a parent later.
     ++delta_stats_.fallbacks;
     RoutingState& slot = delta_store_->begin_fill(nullptr);
-    if (!route_candidate_retained(g, slot.trees)) {
+    if (!route_candidate_retained(g, slot.trees, pool)) {
       return infeasible_breakdown(g);  // slot stays free
     }
     slot.topology = g;

@@ -63,6 +63,16 @@ struct EvalRequest {
   /// have no loads to return), routes, and refreshes the cache entry. It
   /// counts as a cache miss.
   bool want_loads = false;
+  /// Optional, non-owning pool for the shortest-path trees of whichever
+  /// full sweep this evaluation runs (plain, multipath, resilient or delta
+  /// fallback; see sweep_sources in net/routing.h). Costs, loads, retained
+  /// trees and every counter are bit-identical with or without it; cache
+  /// hits and incremental delta repairs do not use it. Meant for a lone
+  /// evaluation on an otherwise idle pool — the synthesizer's final
+  /// re-score of the winner — not for scoring passes whose threads are
+  /// already busy evaluating other candidates. The pool must not be running
+  /// another job.
+  ThreadPool* pool = nullptr;
 };
 
 /// Outcome of one evaluation. Owns its outputs: unlike the deprecated
@@ -248,23 +258,25 @@ class Evaluator {
   void insert_in_cache(const Topology& g, const CostBreakdown& b);
 
   /// evaluate()'s core: cache probe (unless `probe_cache` is false), then
-  /// routing (delta or full sweep). `hint` is already resolved; does not
-  /// touch parent_hint_.
+  /// routing (delta or full sweep, the latter's trees on `pool` when
+  /// non-null). `hint` is already resolved; does not touch parent_hint_.
   CostBreakdown breakdown_impl(const Topology& g, std::uint64_t hint,
-                               bool probe_cache);
+                               bool probe_cache, ThreadPool* pool);
 
   /// Routes `g` via the delta engine: incremental repair of a retained
   /// parent's trees when one matches, full (retained) sweep otherwise.
-  CostBreakdown breakdown_delta(const Topology& g, std::uint64_t hint);
+  CostBreakdown breakdown_delta(const Topology& g, std::uint64_t hint,
+                                ThreadPool* pool);
 
   /// The infeasible-result tail shared by every routing path.
   CostBreakdown infeasible_breakdown(const Topology& g);
 
   /// Full-sweep routing dispatch: single-path or multipath per
   /// engine_.multipath (kOff forwards verbatim, so the dispatch is free).
-  bool route_candidate(const Topology& g);
+  bool route_candidate(const Topology& g, ThreadPool* pool);
   bool route_candidate_retained(const Topology& g,
-                                std::vector<ShortestPathTree>& trees);
+                                std::vector<ShortestPathTree>& trees,
+                                ThreadPool* pool);
 
   /// Per-source aggregation dispatch for the delta path: tree push when
   /// multipath is off, DAG extraction + split scatter when on. Repaired

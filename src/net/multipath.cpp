@@ -3,24 +3,9 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cold {
-
-namespace {
-
-// Same policy as routing.cpp's helper: build the per-sweep edge-length
-// cache only when the heap solver runs against a matrix-free provider.
-// Entries are the exact doubles lengths() returns — bit-neutral.
-const SpLengthCache* maybe_length_cache(const Topology& g,
-                                        const DistanceProvider& lengths,
-                                        SpAlgorithm algo,
-                                        RoutingWorkspace& ws) {
-  if (algo != SpAlgorithm::kSparse || lengths.has_dense()) return nullptr;
-  ws.length_cache.build(g, lengths);
-  return &ws.length_cache;
-}
-
-}  // namespace
 
 const char* multipath_mode_name(MultipathMode mode) {
   switch (mode) {
@@ -110,79 +95,59 @@ void accumulate_dag_loads(const Topology& g, const ShortestPathTree& tree,
   }
 }
 
+namespace {
+
+// Both multipath entry points: one sweep_sources pass whose in-order
+// visitor extracts each source's DAG and scatters its row. kOff forwards to
+// the single-path engine verbatim.
+bool multipath_sweep(const char* who, const Topology& g,
+                     const DistanceProvider& lengths,
+                     const CompressedTraffic& traffic, MultipathMode mode,
+                     EdgeLoads& loads, std::vector<ShortestPathTree>* retained,
+                     RoutingWorkspace& ws, MultipathStats* stats,
+                     SpAlgorithm algo, ThreadPool* pool) {
+  if (mode == MultipathMode::kOff) {
+    return retained != nullptr
+               ? route_loads_retained(g, lengths, traffic, loads, *retained,
+                                      ws, algo, pool)
+               : route_loads(g, lengths, traffic, loads, ws, algo, pool);
+  }
+  const std::size_t n = g.num_nodes();
+  if (traffic.rows() != n || traffic.cols() != n) {
+    throw std::invalid_argument(std::string(who) +
+                                ": traffic shape mismatch");
+  }
+  loads.build(g);
+  const bool connected = sweep_sources(
+      g, lengths, ws, algo, pool, retained,
+      [&](NodeId s, const ShortestPathTree& tree) {
+        extract_shortest_path_dag(g, lengths, tree, ws.dag);
+        if (stats != nullptr) stats->dag_edges += ws.dag.pred.size();
+        accumulate_dag_loads(g, tree, ws.dag, traffic, s, mode, loads,
+                             ws.aggregate, ws.split, stats);
+      });
+  if (connected && stats != nullptr) ++stats->sweeps;
+  return connected;
+}
+
+}  // namespace
+
 bool route_loads_multipath(const Topology& g, const DistanceProvider& lengths,
                            const CompressedTraffic& traffic,
                            MultipathMode mode, EdgeLoads& loads,
                            RoutingWorkspace& ws, MultipathStats* stats,
-                           SpAlgorithm algo) {
-  if (mode == MultipathMode::kOff) {
-    return route_loads(g, lengths, traffic, loads, ws, algo);
-  }
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument(
-        "route_loads_multipath: traffic shape mismatch");
-  }
-  loads.build(g);
-  ws.aggregate.assign(n, 0.0);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  // Same batched block structure as route_loads: trees in lockstep blocks,
-  // DAG extraction + scatter in increasing source order.
-  const std::size_t bw = ws.block_width(n);
-  ws.block.resize(bw);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, ws.block.data(),
-                             algo, cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (ws.block[b].order.size() != n) return false;  // disconnected
-      extract_shortest_path_dag(g, lengths, ws.block[b], ws.dag);
-      if (stats != nullptr) stats->dag_edges += ws.dag.pred.size();
-      accumulate_dag_loads(g, ws.block[b], ws.dag, traffic, sources[b], mode,
-                           loads, ws.aggregate, ws.split, stats);
-    }
-  }
-  if (stats != nullptr) ++stats->sweeps;
-  return true;
+                           SpAlgorithm algo, ThreadPool* pool) {
+  return multipath_sweep("route_loads_multipath", g, lengths, traffic, mode,
+                         loads, nullptr, ws, stats, algo, pool);
 }
 
 bool route_loads_multipath_retained(
     const Topology& g, const DistanceProvider& lengths,
     const CompressedTraffic& traffic, MultipathMode mode, EdgeLoads& loads,
     std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    MultipathStats* stats, SpAlgorithm algo) {
-  if (mode == MultipathMode::kOff) {
-    return route_loads_retained(g, lengths, traffic, loads, trees, ws, algo);
-  }
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument(
-        "route_loads_multipath_retained: traffic shape mismatch");
-  }
-  loads.build(g);
-  trees.resize(n);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  const std::size_t bw = ws.block_width(n);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, &trees[base], algo,
-                             cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (trees[base + b].order.size() != n) return false;  // disconnected
-      extract_shortest_path_dag(g, lengths, trees[base + b], ws.dag);
-      if (stats != nullptr) stats->dag_edges += ws.dag.pred.size();
-      accumulate_dag_loads(g, trees[base + b], ws.dag, traffic, sources[b],
-                           mode, loads, ws.aggregate, ws.split, stats);
-    }
-  }
-  if (stats != nullptr) ++stats->sweeps;
-  return true;
+    MultipathStats* stats, SpAlgorithm algo, ThreadPool* pool) {
+  return multipath_sweep("route_loads_multipath_retained", g, lengths,
+                         traffic, mode, loads, &trees, ws, stats, algo, pool);
 }
 
 }  // namespace cold

@@ -81,13 +81,16 @@ void accumulate_dag_loads(const Topology& g, const ShortestPathTree& tree,
 /// Multipath form of route_loads: per-link loads under ECMP/WCMP routing of
 /// `traffic` over `g`. kOff forwards to route_loads verbatim. Same contract
 /// otherwise: loads rebuilt from `g`, false on disconnected input (loads
-/// partial, unusable), batched sweeps in increasing source order.
+/// partial, unusable), one sweep_sources pass visiting sources in
+/// increasing order — `pool` parallelizes the trees, never the DAG scatter,
+/// so loads and stats are bit-identical with or without it.
 bool route_loads_multipath(const Topology& g, const DistanceProvider& lengths,
                            const CompressedTraffic& traffic,
                            MultipathMode mode, EdgeLoads& loads,
                            RoutingWorkspace& ws,
                            MultipathStats* stats = nullptr,
-                           SpAlgorithm algo = SpAlgorithm::kAuto);
+                           SpAlgorithm algo = SpAlgorithm::kAuto,
+                           ThreadPool* pool = nullptr);
 
 /// route_loads_multipath, but each source's tree is computed into (and left
 /// in) `trees[s]` for delta-engine retention — the multipath analogue of
@@ -96,6 +99,7 @@ bool route_loads_multipath_retained(
     const Topology& g, const DistanceProvider& lengths,
     const CompressedTraffic& traffic, MultipathMode mode, EdgeLoads& loads,
     std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    MultipathStats* stats = nullptr, SpAlgorithm algo = SpAlgorithm::kAuto);
+    MultipathStats* stats = nullptr, SpAlgorithm algo = SpAlgorithm::kAuto,
+    ThreadPool* pool = nullptr);
 
 }  // namespace cold

@@ -56,7 +56,8 @@ Network build_network(const Topology& topology,
   EdgeLoads loads;
   RoutingWorkspace ws;
   if (!route_loads_multipath(topology, net.lengths, net.traffic,
-                             options.multipath, loads, ws)) {
+                             options.multipath, loads, ws, nullptr,
+                             SpAlgorithm::kAuto, options.pool)) {
     throw std::logic_error("build_network: routing failed on connected graph");
   }
   for (const Edge& e : topology.edges()) {
@@ -72,7 +73,8 @@ Network build_network(const Topology& topology,
       (options.materialize_routing == NetworkBuildOptions::Routing::kAuto &&
        n <= Topology::dense_auto_threshold());
   if (want_routing) {
-    net.routing = routing_matrix(topology, net.lengths, ws);
+    net.routing = routing_matrix(topology, net.lengths, ws,
+                                 SpAlgorithm::kAuto, options.pool);
   }
   return net;
 }

@@ -72,6 +72,12 @@ struct NetworkBuildOptions {
   /// provision exactly the loads synthesis optimized for. On
   /// unique-shortest-path topologies every mode yields bit-identical loads.
   MultipathMode multipath = MultipathMode::kOff;
+
+  /// Optional, non-owning pool for the shortest-path trees of the load
+  /// sweep and, when materialized, of routing_matrix (see sweep_sources in
+  /// net/routing.h). Loads, capacities and next hops are bit-identical with
+  /// or without it. The pool must not be running another job.
+  ThreadPool* pool = nullptr;
 };
 
 /// Assembles a Network from a connected topology, locations and traffic:

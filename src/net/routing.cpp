@@ -3,6 +3,9 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "util/thread_pool.h"
 
 namespace cold {
 
@@ -72,73 +75,121 @@ void EdgeLoads::scatter(Matrix<double>& out) const {
   }
 }
 
-bool route_loads(const Topology& g, const DistanceProvider& lengths,
-                 const CompressedTraffic& traffic, EdgeLoads& loads,
-                 RoutingWorkspace& ws, SpAlgorithm algo) {
+bool sweep_sources(const Topology& g, const DistanceProvider& lengths,
+                   RoutingWorkspace& ws, SpAlgorithm algo, ThreadPool* pool,
+                   std::vector<ShortestPathTree>* retained,
+                   const SourceVisitor& visit) {
   const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads: traffic shape mismatch");
-  }
-  loads.build(g);
-  ws.aggregate.assign(n, 0.0);
+  if (retained != nullptr) retained->resize(n);
   // Resolve the auto-selection (and dense availability) once per sweep.
   algo = resolve_sp_algorithm(g, lengths, algo);
   const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-
-  // Batched sweep: compute a block of trees in lockstep (shared
-  // cache-resident frontier state), then accumulate them in increasing
-  // source order — the accumulation order fixes the floating-point result,
-  // so it must match the scalar per-source loop exactly. The block width is
-  // byte-capped (block_width), which can only change the batching, never
-  // the trees.
   const std::size_t bw = ws.block_width(n);
-  ws.block.resize(bw);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, ws.block.data(),
-                             algo, cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (ws.block[b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads(ws.block[b], traffic, sources[b], loads,
-                            ws.aggregate);
+
+  // Trees of one block of sources [first, first + count), count <= bw, in
+  // lockstep (shared cache-resident frontier state). The block width only
+  // changes the batching, never the trees.
+  const auto compute = [&](NodeId first, std::size_t count,
+                           ShortestPathTree* trees) {
+    NodeId sources[kSpSourceBlock];
+    for (std::size_t b = 0; b < count; ++b) sources[b] = first + b;
+    shortest_path_tree_batch(g, lengths, sources, count, trees, algo, cache);
+  };
+  // Visits in increasing source order — the order fixes every
+  // floating-point sum the visitor makes, so it is the exactness contract.
+  const auto visit_range = [&](NodeId first, std::size_t count,
+                               const ShortestPathTree* trees) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (trees[i].order.size() != n) return false;  // disconnected
+      visit(first + i, trees[i]);
     }
+    return true;
+  };
+
+  if (pool == nullptr || pool->size() == 1 || n == 0) {
+    if (retained == nullptr) ws.block.resize(bw);
+    for (NodeId base = 0; base < n; base += bw) {
+      const std::size_t width = std::min(bw, n - base);
+      ShortestPathTree* trees =
+          retained != nullptr ? &(*retained)[base] : ws.block.data();
+      compute(base, width, trees);
+      if (!visit_range(base, width, trees)) return false;
+    }
+    return true;
+  }
+
+  // Pooled: step k runs one parallel_for whose item 0 visits window k - 1
+  // while the other items compute window k, so the in-order visit overlaps
+  // the next window's trees. An item is one lockstep block for the dense
+  // kernel but a single source for the heap solver, which gains nothing
+  // from blocks — small items keep every thread busy on a small window.
+  // Transient trees alternate between two window buffers. Each slot's
+  // labels are sized by the thread that first computes into it: pool
+  // threads draw on their allocator arenas, which already hold the memory
+  // the GA's scoring scratch freed, so the window adds little to the
+  // process's peak footprint.
+  const std::size_t item = algo == SpAlgorithm::kDense ? bw : 1;
+  const std::size_t width =
+      std::min(ws.window_width(n, 2 * pool->size() * item), n);
+  const std::size_t windows = (n + width - 1) / width;
+  std::vector<ShortestPathTree> buffer;
+  if (retained == nullptr) buffer.resize(windows > 1 ? 2 * width : width);
+  const auto window_trees = [&](std::size_t k) {
+    return retained != nullptr ? &(*retained)[k * width]
+                               : &buffer[(k % 2) * width];
+  };
+  const auto window_size = [&](std::size_t k) {
+    return std::min(width, n - k * width);
+  };
+  bool spanning = true;
+  for (std::size_t k = 0; k <= windows; ++k) {
+    const std::size_t visits = k > 0 ? 1 : 0;
+    const std::size_t items =
+        k < windows ? (window_size(k) + item - 1) / item : 0;
+    pool->parallel_for(0, visits + items, [&](std::size_t i, std::size_t) {
+      if (i < visits) {
+        spanning = visit_range((k - 1) * width, window_size(k - 1),
+                               window_trees(k - 1));
+        return;
+      }
+      const std::size_t first = (i - visits) * item;
+      compute(k * width + first, std::min(item, window_size(k) - first),
+              window_trees(k) + first);
+    });
+    if (!spanning) return false;
   }
   return true;
 }
 
-bool route_loads_dense(  // deprecated-api-allowed (definition)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    RoutingWorkspace& ws, SpAlgorithm algo) {
+namespace {
+
+// route_loads and route_loads_retained: one sweep pushing each source's
+// traffic row down its tree.
+bool single_path_sweep(const char* who, const Topology& g,
+                       const DistanceProvider& lengths,
+                       const CompressedTraffic& traffic, EdgeLoads& loads,
+                       std::vector<ShortestPathTree>* retained,
+                       RoutingWorkspace& ws, SpAlgorithm algo,
+                       ThreadPool* pool) {
   const std::size_t n = g.num_nodes();
   if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads: traffic shape mismatch");
+    throw std::invalid_argument(std::string(who) + ": traffic shape mismatch");
   }
-  if (loads.rows() != n || loads.cols() != n) {
-    loads = Matrix<double>::square(n, 0.0);
-  } else {
-    loads.fill(0.0);
-  }
-  ws.aggregate.assign(n, 0.0);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  const std::size_t bw = ws.block_width(n);
-  ws.block.resize(bw);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, ws.block.data(),
-                             algo, cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (ws.block[b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads_dense(  // deprecated-api-allowed (dense impl)
-          ws.block[b], traffic, sources[b], loads, ws.aggregate);
-    }
-  }
-  return true;
+  loads.build(g);
+  return sweep_sources(g, lengths, ws, algo, pool, retained,
+                       [&](NodeId s, const ShortestPathTree& tree) {
+                         accumulate_tree_loads(tree, traffic, s, loads,
+                                               ws.aggregate);
+                       });
+}
+
+}  // namespace
+
+bool route_loads(const Topology& g, const DistanceProvider& lengths,
+                 const CompressedTraffic& traffic, EdgeLoads& loads,
+                 RoutingWorkspace& ws, SpAlgorithm algo, ThreadPool* pool) {
+  return single_path_sweep("route_loads", g, lengths, traffic, loads, nullptr,
+                           ws, algo, pool);
 }
 
 void accumulate_tree_loads(const ShortestPathTree& tree,
@@ -165,110 +216,31 @@ void accumulate_tree_loads(const ShortestPathTree& tree,
   }
 }
 
-void accumulate_tree_loads_dense(  // deprecated-api-allowed (definition)
-    const ShortestPathTree& tree, const CompressedTraffic& traffic, NodeId s,
-    Matrix<double>& loads, std::vector<double>& aggregate) {
-  // Dense-loads walk: same order, two symmetric writes per hand-off.
-  const std::size_t n = tree.dist.size();
-  aggregate.assign(n, 0.0);
-  const CompressedTraffic::RowSpan row = traffic.row_span(s);
-  for (std::size_t k = 0; k < row.len; ++k) {
-    aggregate[row.col[k]] = row.val[k];
-  }
-  for (std::size_t i = n; i-- > 1;) {  // skip the source (order[0])
-    const NodeId t = tree.order[i];
-    const NodeId p = tree.parent[t];
-    loads(p, t) += aggregate[t];
-    loads(t, p) += aggregate[t];
-    aggregate[p] += aggregate[t];
-  }
-}
-
 bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
                           const CompressedTraffic& traffic, EdgeLoads& loads,
                           std::vector<ShortestPathTree>& trees,
-                          RoutingWorkspace& ws, SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads_retained: traffic shape mismatch");
-  }
-  loads.build(g);
-  trees.resize(n);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  // The retained trees live in `trees` directly, so the batch kernel can
-  // run over whole blocks in place; accumulation stays in increasing
-  // source order for bit-identical loads.
-  const std::size_t bw = ws.block_width(n);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, &trees[base], algo,
-                             cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (trees[base + b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads(trees[base + b], traffic, sources[b], loads,
-                            ws.aggregate);
-    }
-  }
-  return true;
-}
-
-bool route_loads_retained_dense(  // deprecated-api-allowed (definition)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads_retained: traffic shape mismatch");
-  }
-  if (loads.rows() != n || loads.cols() != n) {
-    loads = Matrix<double>::square(n, 0.0);
-  } else {
-    loads.fill(0.0);
-  }
-  trees.resize(n);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  const std::size_t bw = ws.block_width(n);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, &trees[base], algo,
-                             cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (trees[base + b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads_dense(  // deprecated-api-allowed (dense impl)
-          trees[base + b], traffic, sources[b], loads, ws.aggregate);
-    }
-  }
-  return true;
+                          RoutingWorkspace& ws, SpAlgorithm algo,
+                          ThreadPool* pool) {
+  return single_path_sweep("route_loads_retained", g, lengths, traffic, loads,
+                           &trees, ws, algo, pool);
 }
 
 double total_demand_weighted_length(const Topology& g,
                                     const DistanceProvider& lengths,
                                     const CompressedTraffic& traffic,
                                     RoutingWorkspace& ws, SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
   double total = 0.0;
-  for (NodeId s = 0; s < n; ++s) {
-    shortest_path_tree(g, lengths, s, ws.tree, algo, cache);
-    if (ws.tree.order.size() != n) {
-      return std::numeric_limits<double>::infinity();
-    }
-    // CSR row walk: zero demands contribute exact +0.0 addends in the
-    // dense loop, so skipping them is bit-neutral.
-    const CompressedTraffic::RowSpan row = traffic.row_span(s);
-    for (std::size_t k = 0; k < row.len; ++k) {
-      total += row.val[k] * ws.tree.dist[row.col[k]];
-    }
-  }
-  return total;
+  const bool connected = sweep_sources(
+      g, lengths, ws, algo, nullptr, nullptr,
+      [&](NodeId s, const ShortestPathTree& tree) {
+        // CSR row walk: zero demands contribute exact +0.0 addends in the
+        // dense loop, so skipping them is bit-neutral.
+        const CompressedTraffic::RowSpan row = traffic.row_span(s);
+        for (std::size_t k = 0; k < row.len; ++k) {
+          total += row.val[k] * tree.dist[row.col[k]];
+        }
+      });
+  return connected ? total : std::numeric_limits<double>::infinity();
 }
 
 double total_demand_weighted_length(const Topology& g,
@@ -280,24 +252,23 @@ double total_demand_weighted_length(const Topology& g,
 
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
-                              RoutingWorkspace& ws, SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  Matrix<NodeId> next_hop = Matrix<NodeId>::square(n, 0);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  for (NodeId s = 0; s < n; ++s) {
-    shortest_path_tree(g, lengths, s, ws.tree, algo, cache);
-    if (ws.tree.order.size() != n) {
-      throw std::invalid_argument("routing_matrix: graph is disconnected");
-    }
-    next_hop(s, s) = s;
-    // Nodes settle in increasing-distance order, so a node's parent has
-    // already had its next hop assigned.
-    for (std::size_t i = 1; i < ws.tree.order.size(); ++i) {
-      const NodeId t = ws.tree.order[i];
-      const NodeId p = ws.tree.parent[t];
-      next_hop(s, t) = (p == s) ? t : next_hop(s, p);
-    }
+                              RoutingWorkspace& ws, SpAlgorithm algo,
+                              ThreadPool* pool) {
+  Matrix<NodeId> next_hop = Matrix<NodeId>::square(g.num_nodes(), 0);
+  const bool connected = sweep_sources(
+      g, lengths, ws, algo, pool, nullptr,
+      [&](NodeId s, const ShortestPathTree& tree) {
+        next_hop(s, s) = s;
+        // Nodes settle in increasing-distance order, so a node's parent has
+        // already had its next hop assigned.
+        for (std::size_t i = 1; i < tree.order.size(); ++i) {
+          const NodeId t = tree.order[i];
+          const NodeId p = tree.parent[t];
+          next_hop(s, t) = (p == s) ? t : next_hop(s, p);
+        }
+      });
+  if (!connected) {
+    throw std::invalid_argument("routing_matrix: graph is disconnected");
   }
   return next_hop;
 }

@@ -11,9 +11,14 @@
 // Currencies: lengths arrive as a DistanceProvider (dense matrix or
 // matrix-free coordinates — bit-identical either way) and traffic as a
 // CompressedTraffic CSR (a dense TrafficMatrix converts implicitly). Loads
-// accumulate into EdgeLoads, the O(n + m) sparse form. The historical
-// Matrix<double>-shaped loads overloads are DEPRECATED (renamed *_dense,
-// linted by tools/check_deprecated_api.py) and kept only as compat shims.
+// accumulate into EdgeLoads, the O(n + m) sparse form; EdgeLoads::scatter
+// expands them into a dense matrix when a caller really wants one.
+//
+// Every n-source sweep here (and in net/multipath.h) runs through one
+// loop, sweep_sources: trees are computed in source blocks — optionally
+// on a ThreadPool — and handed to the caller's per-source visitor strictly
+// in increasing source order, so loads, retained trees and costs are
+// bit-identical at every thread count (see DESIGN.md §4.6).
 //
 // Direction convention: the traffic matrix is interpreted as ordered-pair
 // demands; an undirected link's load is the sum over both directions
@@ -24,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/shortest_paths.h"
@@ -32,6 +38,8 @@
 #include "util/matrix.h"
 
 namespace cold {
+
+class ThreadPool;
 
 /// Sparse per-link load accumulator — the O(n + m) replacement for the n²
 /// loads matrix. The skeleton is a CSR mirror of the topology's sorted
@@ -100,12 +108,11 @@ struct RoutingWorkspace {
   /// bit-identity at any width) beyond that.
   static constexpr std::size_t kDefaultMaxBlockBytes = std::size_t{4} << 20;
 
-  ShortestPathTree tree;
   std::vector<double> aggregate;  ///< per-node downstream demand sums
-  /// Source-block scratch for the batched sweeps (at most kSpSourceBlock
-  /// trees, byte-capped); lets route_loads run shortest_path_tree_batch
-  /// without retaining all n trees. Loads are still accumulated in
-  /// increasing-source order.
+  /// Source-block scratch for serial sweeps (at most kSpSourceBlock trees,
+  /// byte-capped); lets route_loads run shortest_path_tree_batch without
+  /// retaining all n trees. Pooled sweeps use a transient window buffer
+  /// instead (see sweep_sources).
   std::vector<ShortestPathTree> block;
   std::size_t max_block_bytes = kDefaultMaxBlockBytes;
   /// Per-sweep edge-length cache (O(n + m) doubles), built by the sweep
@@ -125,14 +132,57 @@ struct RoutingWorkspace {
     const std::size_t fit = max_block_bytes / per_tree;
     return std::max<std::size_t>(1, std::min(kSpSourceBlock, fit));
   }
+
+  /// Trees per window of a pooled sweep (see sweep_sources) that would
+  /// like `wanted` of them: as many as fit when the two windows a pooled
+  /// sweep holds at once share max_block_bytes (at least 1).
+  std::size_t window_width(std::size_t n, std::size_t wanted) const {
+    const std::size_t per_tree = sp_tree_bytes(n) > 0 ? sp_tree_bytes(n) : 1;
+    const std::size_t fit = max_block_bytes / (2 * per_tree);
+    return std::max<std::size_t>(1, std::min(wanted, fit));
+  }
 };
+
+/// The per-source visitor of sweep_sources: receives source s and its
+/// finished shortest-path tree (spanning all n nodes).
+using SourceVisitor =
+    std::function<void(NodeId s, const ShortestPathTree& tree)>;
+
+/// The one n-source sweep loop. Computes the shortest-path tree of every
+/// source 0..n-1 of `g` (weighted by `lengths`) in batched source blocks
+/// and calls `visit(s, tree)` for each, strictly in increasing source
+/// order and on one thread at a time. Returns false — visiting nothing at
+/// or after the first such source — as soon as a tree fails to span the
+/// graph (disconnected input).
+///
+/// `retained`, when non-null, is resized to n and tree s is computed into
+/// (and left in) (*retained)[s]; otherwise trees live in transient
+/// scratch: ws.block on the serial path, a window buffer freed on return
+/// on the pooled path.
+///
+/// `pool`, when non-null with more than one thread, parallelizes the
+/// trees: workers compute a window of sources (two work items per thread,
+/// RoutingWorkspace::window_width) — each item a lockstep block of up to
+/// block_width sources for the dense kernel, one source for the heap
+/// solver — while one item of the same parallel_for visits the previous
+/// window in order. Every tree is bit-identical to the serial kernel's and
+/// the visit order is the serial one, so whatever the visitor accumulates
+/// is bit-identical at every thread count. The two window buffers together
+/// are capped by ws.max_block_bytes and freed on return. `visit` may run on
+/// a pool thread, but never concurrently with itself. `pool` must not be
+/// running another job (ThreadPool is not reentrant).
+bool sweep_sources(const Topology& g, const DistanceProvider& lengths,
+                   RoutingWorkspace& ws, SpAlgorithm algo, ThreadPool* pool,
+                   std::vector<ShortestPathTree>* retained,
+                   const SourceVisitor& visit);
 
 /// Computes per-link loads under shortest-path routing of `traffic` over
 /// the edges of `g` (weighted by `lengths`), accumulating into an EdgeLoads
 /// (rebuilt from `g` here) — O(n + m) load state. Entry {u,v} = total
 /// demand crossing the link in either direction. Returns false if `g` is
 /// disconnected (some demand is unroutable; loads are then partial and
-/// must not be used).
+/// must not be used). `pool` parallelizes the trees (see sweep_sources);
+/// the loads are bit-identical with or without it.
 ///
 /// Zero demands are skipped exactly (CSR row scatter); identical ordered
 /// adds per accumulator make the result bit-identical to the historical
@@ -142,15 +192,8 @@ struct RoutingWorkspace {
 /// O(n^3) with the dense solver, O(n (n+m) log n) with the sparse one.
 bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
-                 RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto);
-
-/// DEPRECATED: dense Matrix-shaped loads. Use the EdgeLoads overload of
-/// route_loads; scatter() if a dense view is really needed. Linted by
-/// tools/check_deprecated_api.py.
-bool route_loads_dense(  // deprecated-api-allowed (declaration)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto);
+                 RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto,
+                 ThreadPool* pool = nullptr);
 
 /// The per-source half of route_loads: pushes row `s` of `traffic` down
 /// `tree` (the shortest-path tree rooted at s, which must span all n nodes),
@@ -163,12 +206,6 @@ void accumulate_tree_loads(const ShortestPathTree& tree,
                            const CompressedTraffic& traffic, NodeId s,
                            EdgeLoads& loads, std::vector<double>& aggregate);
 
-/// DEPRECATED: dense Matrix-shaped loads variant of the per-source
-/// aggregation. Use the EdgeLoads overload of accumulate_tree_loads.
-void accumulate_tree_loads_dense(  // deprecated-api-allowed (declaration)
-    const ShortestPathTree& tree, const CompressedTraffic& traffic, NodeId s,
-    Matrix<double>& loads, std::vector<double>& aggregate);
-
 /// route_loads, but each source's tree is computed into (and left in)
 /// `trees[s]` instead of transient workspace — the delta engine retains them
 /// as parent state for incremental re-routing. `trees` is resized to n.
@@ -178,15 +215,8 @@ bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
                           const CompressedTraffic& traffic, EdgeLoads& loads,
                           std::vector<ShortestPathTree>& trees,
                           RoutingWorkspace& ws,
-                          SpAlgorithm algo = SpAlgorithm::kAuto);
-
-/// DEPRECATED: dense Matrix-shaped loads variant of route_loads_retained.
-/// Use the EdgeLoads overload.
-bool route_loads_retained_dense(  // deprecated-api-allowed (declaration)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    SpAlgorithm algo = SpAlgorithm::kAuto);
+                          SpAlgorithm algo = SpAlgorithm::kAuto,
+                          ThreadPool* pool = nullptr);
 
 /// Sum over routes of demand * route physical length (the paper's
 /// sum_r t_r L_r from eq. (1)). Returns infinity if disconnected.
@@ -203,13 +233,15 @@ double total_demand_weighted_length(const Topology& g,
 
 /// Full next-hop routing matrix: next_hop(s, t) is the neighbour of s on the
 /// chosen shortest path toward t; next_hop(s, s) == s. Throws if `g` is
-/// disconnected. Same wrapper arrangement as total_demand_weighted_length.
-/// O(n^2) output — callers synthesizing at scale should skip it (see
+/// disconnected. Same wrapper arrangement as total_demand_weighted_length;
+/// `pool` parallelizes the trees (see sweep_sources). O(n^2) output —
+/// callers synthesizing at scale should skip it (see
 /// NetworkBuildOptions::materialize_routing).
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
                               RoutingWorkspace& ws,
-                              SpAlgorithm algo = SpAlgorithm::kAuto);
+                              SpAlgorithm algo = SpAlgorithm::kAuto,
+                              ThreadPool* pool = nullptr);
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths);
 

@@ -183,9 +183,13 @@ TEST(MatrixFree, ZeroDemandRowRoutesIdentically) {
   Topology g = erdos_renyi_gnp(n, 0.4, rng);
   connect_components(g, len);
 
-  Matrix<double> dense_loads;
+  // Dense side: the dense TrafficMatrix (converted on the fly), scattered
+  // into a dense loads matrix.
+  EdgeLoads from_dense;
   RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_dense(g, len, ct, dense_loads, ws));
+  ASSERT_TRUE(route_loads(g, len, tm, from_dense, ws));
+  Matrix<double> dense_loads;
+  from_dense.scatter(dense_loads);
   EdgeLoads sparse_loads;
   RoutingWorkspace ws2;
   ASSERT_TRUE(route_loads(g, len, ct, sparse_loads, ws2));

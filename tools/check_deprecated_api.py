@@ -11,18 +11,10 @@ member-call spellings of the deprecated surface:
     .breakdown(    -> Evaluator::evaluate(g).breakdown
     .last_loads(   -> Evaluator::evaluate(g, {.want_loads = true}).loads
 
-and for the dense n^2 load-accounting surface deprecated by the
-matrix-free engine (free functions, matched as whole identifiers):
-
-    route_loads_dense(           -> route_loads() with EdgeLoads
-    route_loads_retained_dense(  -> route_loads_retained() with EdgeLoads
-    accumulate_tree_loads_dense( -> accumulate_tree_loads() with EdgeLoads
-
-The member-call patterns match calls only, so declarations/definitions
+The patterns match calls only, so declarations/definitions
 (`Evaluator::breakdown(...)`) and struct-field reads (`result.breakdown`)
-do not trip the lint; the free-function patterns skip their own
-declarations in net/routing.h via the allow marker there. Lines carrying
-an explicit `// deprecated-api-allowed` marker are skipped.
+do not trip the lint. Lines carrying an explicit `// deprecated-api-allowed`
+marker are skipped.
 
 Exit 0 when clean, 1 with one "file:line: pattern" diagnostic per hit.
 Pure stdlib; no third-party imports.
@@ -42,14 +34,6 @@ PATTERNS = {
     r"\.breakdown\(": "Evaluator::breakdown — use evaluate(g).breakdown",
     r"\.last_loads\(":
         "Evaluator::last_loads — use evaluate(g, EvalRequest) loads",
-    r"\broute_loads_dense\(":
-        "route_loads_dense — use route_loads() with EdgeLoads",
-    r"\broute_loads_retained_dense\(":
-        "route_loads_retained_dense — use route_loads_retained() with "
-        "EdgeLoads",
-    r"\baccumulate_tree_loads_dense\(":
-        "accumulate_tree_loads_dense — use accumulate_tree_loads() with "
-        "EdgeLoads",
 }
 
 

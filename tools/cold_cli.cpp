@@ -67,7 +67,9 @@ const std::vector<OptionSpec> kCostOpts = {
 const std::vector<OptionSpec> kGaOpts = {
     {"population", true, "M (48)"},
     {"generations", true, "T (40)"},
-    {"threads", true, "K (0 = all cores): heuristic and GA scoring threads"},
+    {"threads", true,
+     "K (0 = all cores): heuristic and GA scoring threads (synth: also "
+     "routes the winner)"},
 };
 
 // Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
@@ -181,8 +183,9 @@ void print_usage() {
       "            --seed S (1) --population M (48) --generations T (40)\n"
       "            --overprovision O (1) --format dot|json|graphml (json)\n"
       "            --threads K (0 = all cores): scores the greedy hub\n"
-      "            heuristics' candidates and the GA's offspring in\n"
-      "            parallel; output identical for any K\n"
+      "            heuristics' candidates and the GA's offspring, and\n"
+      "            routes the winner, in parallel; output identical for\n"
+      "            any K\n"
       "            --traffic-topk K (0 = exact: keep each PoP's K largest\n"
       "            demands, symmetrized and renormalized — approximate,\n"
       "            recorded in the run report)\n"
