@@ -40,11 +40,11 @@ int main() {
     const Budget& big = budgets.back();
     for (std::size_t t = 0; t < num_trials; ++t) {
       Evaluator eval(contexts[t].distances, contexts[t].traffic, costs);
-      GaConfig cfg;
-      cfg.population = big.m;
-      cfg.generations = big.t;
+      GaRunOptions options;
+      options.config.population = big.m;
+      options.config.generations = big.t;
       Rng rng(42 + t);
-      reference[t] = run_ga(eval, cfg, rng).best_cost;
+      reference[t] = run_ga(eval, rng, options).best_cost;
     }
   }
 
@@ -54,11 +54,11 @@ int main() {
     std::size_t evals = 0;
     for (std::size_t t = 0; t < num_trials; ++t) {
       Evaluator eval(contexts[t].distances, contexts[t].traffic, costs);
-      GaConfig cfg;
-      cfg.population = b.m;
-      cfg.generations = b.t;
+      GaRunOptions options;
+      options.config.population = b.m;
+      options.config.generations = b.t;
       Rng rng(42 + t);
-      const GaResult r = run_ga(eval, cfg, rng);
+      const GaResult r = run_ga(eval, rng, options);
       rel.push_back(r.best_cost / reference[t]);
       evals += r.evaluations;
     }

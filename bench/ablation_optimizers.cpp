@@ -46,11 +46,12 @@ int main() {
       // Initialized GA (the paper's recommended configuration).
       Evaluator eval_ga(ctx.distances, ctx.traffic, costs);
       Rng hrng(500 + t), garng(600 + t);
-      std::vector<Topology> seeds;
+      GaRunOptions options;
+      options.config = bench::default_ga();
       for (const auto& h : run_all_heuristics(eval_ga, hrng)) {
-        seeds.push_back(h.topology);
+        options.seeds.push_back(h.topology);
       }
-      const GaResult ga = run_ga(eval_ga, bench::default_ga(), garng, seeds);
+      const GaResult ga = run_ga(eval_ga, garng, options);
       ga_evals += ga.evaluations;
 
       // Hill climbing from the MST.

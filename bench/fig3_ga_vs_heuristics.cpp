@@ -43,13 +43,12 @@ int main() {
 
         Rng hrng(2000 + trial);
         const auto heuristics = run_all_heuristics(eval, hrng);
-        std::vector<Topology> seeds;
-        for (const auto& h : heuristics) seeds.push_back(h.topology);
-
         Rng ga_rng(3000 + trial), init_rng(3000 + trial);
-        const GaConfig ga_cfg = bench::default_ga();
-        const GaResult plain = run_ga(eval, ga_cfg, ga_rng);
-        const GaResult initialized = run_ga(eval, ga_cfg, init_rng, seeds);
+        GaRunOptions options;
+        options.config = bench::default_ga();
+        const GaResult plain = run_ga(eval, ga_rng, options);
+        for (const auto& h : heuristics) options.seeds.push_back(h.topology);
+        const GaResult initialized = run_ga(eval, init_rng, options);
 
         const double base = initialized.best_cost;
         for (const auto& h : heuristics) rel[h.name].push_back(h.cost / base);

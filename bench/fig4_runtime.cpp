@@ -25,9 +25,10 @@ void run_one_ga(std::size_t n, std::uint64_t seed) {
   Rng ctx_rng(seed);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, 4e-4, 10.0});
-  GaConfig cfg = cold::bench::default_ga();
+  GaRunOptions options;
+  options.config = cold::bench::default_ga();
   Rng rng(seed);
-  benchmark::DoNotOptimize(run_ga(eval, cfg, rng).best_cost);
+  benchmark::DoNotOptimize(run_ga(eval, rng, options).best_cost);
 }
 
 void BM_GaRuntime(benchmark::State& state) {

@@ -181,14 +181,23 @@ InsertResult EntrySet::insert(const Topology& g, const CostBreakdown& b,
 }  // namespace cache_detail
 
 CostCache::CostCache(const EvalCacheConfig& config)
-    : set_budget_(config.max_bytes / cache_detail::kSets),
-      sets_(cache_detail::kSets) {}
+    : shard_budget_(config.max_bytes / cache_detail::kSets) {}
+
+CostCache::Shard* CostCache::shards() const {
+  // call_once orders the allocation before every caller that returns.
+  std::call_once(allocate_once_, [this] {
+    shards_ = std::make_unique<Shard[]>(cache_detail::kSets);
+  });
+  return shards_.get();
+}
 
 bool CostCache::find(const Topology& g, CostBreakdown& out,
                      std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  const bool hit = sets_[cache_detail::set_index(key)].find(g, key, out);
-  ++(hit ? stats_.hits : stats_.misses);
+  Shard& shard = shards()[cache_detail::set_index(key)];
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  const bool hit = shard.set.find(g, key, out);
+  ++(hit ? shard.stats.hits : shard.stats.misses);
   return hit;
 }
 
@@ -196,25 +205,39 @@ cache_detail::InsertResult CostCache::insert(const Topology& g,
                                              const CostBreakdown& b,
                                              std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  cache_detail::encode_edges(g, code_);
+  std::vector<std::uint8_t> code;  // encoded outside the shard lock
+  cache_detail::encode_edges(g, code);
+  Shard& shard = shards()[cache_detail::set_index(key)];
+  const std::lock_guard<std::mutex> lock(shard.mu);
   const cache_detail::InsertResult r =
-      sets_[cache_detail::set_index(key)].insert(g, b, key, code_,
-                                                 set_budget_);
-  if (r.stored) ++stats_.inserts;
-  stats_.evictions += r.evicted;
+      shard.set.insert(g, b, key, code, shard_budget_);
+  if (r.stored) ++shard.stats.inserts;
+  shard.stats.evictions += r.evicted;
   return r;
 }
 
-std::size_t CostCache::size() const {
-  std::size_t total = 0;
-  for (const cache_detail::EntrySet& s : sets_) total += s.size();
+template <typename T, typename Read>
+T CostCache::sum_shards(Read read) const {
+  T total{};
+  const Shard* all = shards();
+  for (std::size_t s = 0; s < cache_detail::kSets; ++s) {
+    const std::lock_guard<std::mutex> lock(all[s].mu);
+    total += read(all[s]);
+  }
   return total;
 }
 
+EvalCacheStats CostCache::stats() const {
+  return sum_shards<EvalCacheStats>([](const Shard& s) { return s.stats; });
+}
+
+std::size_t CostCache::size() const {
+  return sum_shards<std::size_t>([](const Shard& s) { return s.set.size(); });
+}
+
 std::size_t CostCache::resident_bytes() const {
-  std::size_t total = 0;
-  for (const cache_detail::EntrySet& s : sets_) total += s.resident_bytes();
-  return total;
+  return sum_shards<std::size_t>(
+      [](const Shard& s) { return s.set.resident_bytes(); });
 }
 
 }  // namespace cold

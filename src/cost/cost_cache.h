@@ -7,13 +7,21 @@
 // plus (n, m), turning a repeat from an O(n * (n+m) log n) routing sweep
 // into an O(n + m) verification.
 //
-// Organisation: 64 LRU sets selected by fingerprint bits, each owning an
-// equal share of EvalCacheConfig::max_bytes as one slab, allocated on the
-// set's first insert (cache_detail::EntrySet). An insert that does not fit
-// evicts the set's least-recently-used entries until it does. So building
-// an evaluator costs no cache memory or time, a run that never repeats a
-// topology pays almost nothing, and a set makes one allocation in its
-// lifetime: no churn for the allocator to fragment.
+// Sharing: one CostCache serves a root Evaluator and every worker clone of
+// it (GA scoring and heuristic scoring alike), so an elite scored on worker
+// 0 hits on worker 3. It is thread-safe by lock striping: 64 LRU sets
+// selected by fingerprint bits, each a shard guarded by its own mutex. A
+// lookup or insert locks exactly one shard, so workers touch disjoint
+// shards concurrently and colliding workers serialize only per shard.
+//
+// Memory: each set owns an equal share of EvalCacheConfig::max_bytes as one
+// slab, allocated on the set's first insert (cache_detail::EntrySet); the
+// shard headers (~9 KB) wait for the first call. An insert that does not
+// fit evicts the set's least-recently-used entries until it does. So
+// building an evaluator costs no cache memory or time, a run that never
+// repeats a topology pays almost nothing, resident_bytes() never exceeds
+// the budget, and a set makes one allocation in its lifetime: no churn for
+// the allocator to fragment.
 //
 // Compact entries: an 88-byte slot holds the key, LRU stamp, n, m and the
 // cost terms; a tail holds the two summaries (only when either is set) and
@@ -25,13 +33,15 @@
 // full verification: n and m must match, and the stored encoding is merged
 // against the queried topology's sorted adjacency, edge by edge. A
 // verification failure counts as a miss; correctness never rests on hash
-// uniqueness.
+// uniqueness. find() copies the stored breakdown out under the shard lock —
+// returning a pointer would race with a concurrent eviction.
 //
 // Determinism: the cache stores exact breakdowns, so cached and recomputed
 // results are bit-identical and enabling the cache cannot change any
-// optimization trajectory. One CostCache belongs to one Evaluator (no
-// internal locking); it serves only when EvalCacheConfig::shared is off,
-// otherwise every worker clone shares the root's SharedCostCache.
+// optimization trajectory; sharing it changes hit rates and wall-clock
+// only. Per-shard counters are updated under the shard lock, which makes
+// the aggregate stats() conservation exact: hits + misses == find calls,
+// regardless of interleaving.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <span>
 #include <vector>
@@ -65,15 +76,6 @@ struct EvalCacheConfig {
   /// than one set's share (2 KiB by default) is not stored, so at
   /// n = 2000-10000 the default cache stays empty.
   std::size_t max_bytes = std::size_t{128} << 10;  ///< 128 KiB
-
-  /// Share one lock-striped cache (cost/shared_cost_cache.h) across every
-  /// worker clone of the run (GA scoring and heuristic scoring alike)
-  /// instead of giving each clone a private CostCache: an elite scored on
-  /// worker 0 then hits on worker 3, and the caller's evaluator sees every
-  /// entry its clones made. Exact either way — hits return stored
-  /// breakdowns bit-for-bit, so the setting changes hit rates, never
-  /// results. On by default; false gives each clone its own cache.
-  bool shared = true;
 
   friend bool operator==(const EvalCacheConfig&,
                          const EvalCacheConfig&) = default;
@@ -259,17 +261,16 @@ struct EvalCacheStats {
                          const EvalCacheStats&) = default;
 };
 
-/// Internals shared between CostCache (per-worker, unlocked) and
-/// SharedCostCache (cross-worker, lock-striped): the compact edge-set
-/// encoding, the verification that makes fingerprint collisions harmless,
-/// and the byte-bounded LRU set both caches are built from.
+/// CostCache internals: the compact edge-set encoding, the verification
+/// that makes fingerprint collisions harmless, and the byte-bounded LRU set
+/// each shard holds.
 namespace cache_detail {
 
-/// Number of LRU sets (CostCache) or lock-striped shards of one set each
-/// (SharedCostCache). Power of two: the fingerprint's high bits index it.
+/// Number of lock-striped shards, one LRU set each. Power of two: the
+/// fingerprint's high bits index it.
 inline constexpr std::size_t kSets = 64;
 
-/// The set or shard a key belongs to. The key is an avalanched fingerprint
+/// The shard a key belongs to. The key is an avalanched fingerprint
 /// XOR an avalanched salt, so any six bits spread keys evenly.
 inline std::size_t set_index(std::uint64_t key) {
   return static_cast<std::size_t>(key >> 48) & (kSets - 1);
@@ -356,8 +357,9 @@ class EntrySet {
 
 }  // namespace cache_detail
 
-/// Fingerprint-keyed memo table for CostBreakdown results. Not thread-safe;
-/// see file comment for sharing rules.
+/// Sharded, lock-striped, fingerprint-keyed memo table for CostBreakdown
+/// results. Thread-safe; one instance is shared by a root Evaluator and all
+/// its clones (see the file comment).
 class CostCache {
  public:
   explicit CostCache(const EvalCacheConfig& config);
@@ -371,25 +373,44 @@ class CostCache {
   /// salts match too.
   bool find(const Topology& g, CostBreakdown& out, std::uint64_t salt = 0);
 
-  /// Stores `b` as the breakdown for `g` under `salt`, evicting the set's
-  /// LRU entries if needed. Replaces `g`'s entry if it is already resident
-  /// under the same salt.
+  /// Stores `b` as the breakdown for `g` under `salt`, evicting the
+  /// shard's LRU entries if needed. Replaces `g`'s entry if it is already
+  /// resident under the same salt (e.g. when two workers missed on the
+  /// same topology concurrently).
   cache_detail::InsertResult insert(const Topology& g, const CostBreakdown& b,
                                     std::uint64_t salt = 0);
 
-  const EvalCacheStats& stats() const { return stats_; }
+  /// Sums the per-shard counters (locks each shard once).
+  EvalCacheStats stats() const;
 
-  /// Live entries.
+  /// Live entries across all shards (locks each shard once).
   std::size_t size() const;
-  /// Slab bytes allocated; never above max_bytes().
+
+  /// Slab bytes allocated across all shards (locks each shard once); never
+  /// above max_bytes(). The fixed shard headers are not included.
   std::size_t resident_bytes() const;
-  std::size_t max_bytes() const { return set_budget_ * cache_detail::kSets; }
+
+  std::size_t max_bytes() const {
+    return shard_budget_ * cache_detail::kSets;
+  }
 
  private:
-  std::size_t set_budget_;  ///< each set's share of the byte budget
-  std::vector<cache_detail::EntrySet> sets_;  ///< kSets, empty until used
-  std::vector<std::uint8_t> code_;  ///< encoding scratch for inserts
-  EvalCacheStats stats_;
+  struct Shard {
+    mutable std::mutex mu;
+    cache_detail::EntrySet set;
+    EvalCacheStats stats;
+  };
+
+  /// The shard array, allocated by the first call (of any method).
+  Shard* shards() const;
+
+  /// Sums read(shard) over all shards, locking each once.
+  template <typename T, typename Read>
+  T sum_shards(Read read) const;
+
+  std::size_t shard_budget_;  ///< each shard's share of the byte budget
+  mutable std::once_flag allocate_once_;
+  mutable std::unique_ptr<Shard[]> shards_;  ///< set under allocate_once_
 };
 
 }  // namespace cold

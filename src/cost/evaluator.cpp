@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cost/shared_cost_cache.h"
 #include "traffic/gravity.h"
 
 namespace cold {
@@ -64,10 +63,10 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
     throw std::invalid_argument("Evaluator: traffic/lengths size mismatch");
   }
   init_engine_state();
-  // Only root evaluators create the shared cache; clones receive the same
+  // Only root evaluators create the cache; clones receive the same
   // instance in clone() so every worker sees every entry.
-  if (engine_.cache.enabled && engine_.cache.shared) {
-    shared_cache_ = std::make_shared<SharedCostCache>(engine_.cache);
+  if (engine_.cache.enabled) {
+    cache_ = std::make_shared<CostCache>(engine_.cache);
   }
 }
 
@@ -77,14 +76,11 @@ Evaluator::Evaluator(CloneTag, const Evaluator& parent)
       params_(parent.params_),
       engine_(parent.engine_) {
   init_engine_state();
-  shared_cache_ = parent.shared_cache_;
+  cache_ = parent.cache_;
 }
 
 void Evaluator::init_engine_state() {
   const std::size_t n = lengths_.rows();
-  if (engine_.cache.enabled && !engine_.cache.shared) {
-    cache_ = std::make_unique<CostCache>(engine_.cache);
-  }
   if (engine_.delta.enabled(n)) {
     delta_store_ = std::make_unique<RoutingStateStore>(
         engine_.delta.resolved_states(n));
@@ -141,25 +137,10 @@ EvalCacheStats Evaluator::cache_stats() const {
   return s;
 }
 
-const Matrix<double>& Evaluator::last_loads() const {
-  if (!loads_valid_) {
-    throw std::logic_error(
-        "Evaluator::last_loads: no feasible routing backs the loads (the "
-        "last evaluation was infeasible, served from cache, or never ran)");
-  }
-  loads_.scatter(legacy_loads_);
-  return legacy_loads_;
-}
-
 EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
-  // An explicit request hint wins; otherwise consume (one-shot) whatever
-  // the deprecated set_parent_hint() planted, so legacy flows behave
-  // exactly as before.
-  const std::uint64_t hint =
-      req.parent_hint != 0 ? req.parent_hint : std::exchange(parent_hint_, 0);
   EvalResult r;
-  r.breakdown =
-      breakdown_impl(g, hint, /*probe_cache=*/!req.want_loads, req.pool);
+  r.breakdown = breakdown_impl(g, req.parent_hint,
+                               /*probe_cache=*/!req.want_loads, req.pool);
   if (req.want_loads && loads_valid_) {
     r.loads = loads_;
     r.loads_valid = true;
@@ -169,10 +150,6 @@ EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
 
 double Evaluator::cost(const Topology& g) { return evaluate(g).total(); }
 
-CostBreakdown Evaluator::breakdown(const Topology& g) {
-  return evaluate(g).breakdown;
-}
-
 CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
                                         bool probe_cache, ThreadPool* pool) {
   if (g.num_nodes() != num_nodes()) {
@@ -181,13 +158,9 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
   // Cache hits count: evaluations_ tracks requested evaluations so budgets
   // and traces are identical whether or not the cache is enabled.
   ++evaluations_;
-  if (probe_cache) {
+  if (probe_cache && cache_ != nullptr) {
     CostBreakdown hit;
-    const bool found = shared_cache_ != nullptr
-                           ? shared_cache_->find(g, hit, cache_salt_)
-                           : cache_ != nullptr &&
-                                 cache_->find(g, hit, cache_salt_);
-    if (found) {
+    if (cache_->find(g, hit, cache_salt_)) {
       ++cache_stats_.hits;
       loads_valid_ = false;  // hit skips routing; loads_ is stale
       // The cache stores no routing state; keep any retained state for this
@@ -199,7 +172,7 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g, std::uint64_t hint,
   // A probe that found nothing, or one skipped because the caller wants
   // loads: either way the evaluation falls through to routing, and the
   // insert below refreshes the entry.
-  if (shared_cache_ != nullptr || cache_ != nullptr) ++cache_stats_.misses;
+  if (cache_ != nullptr) ++cache_stats_.misses;
   if (delta_store_) return breakdown_delta(g, hint, pool);
   if (resilience_ != nullptr) {
     // Keep the per-source trees: the failure sweep repairs them per
@@ -395,12 +368,8 @@ CostBreakdown Evaluator::finish_breakdown(
 }
 
 void Evaluator::insert_in_cache(const Topology& g, const CostBreakdown& b) {
-  cache_detail::InsertResult r;
-  if (shared_cache_ != nullptr) {
-    r = shared_cache_->insert(g, b, cache_salt_);
-  } else if (cache_ != nullptr) {
-    r = cache_->insert(g, b, cache_salt_);
-  }
+  if (cache_ == nullptr) return;
+  const cache_detail::InsertResult r = cache_->insert(g, b, cache_salt_);
   if (r.stored) ++cache_stats_.inserts;
   cache_stats_.evictions += r.evicted;
 }

@@ -11,13 +11,14 @@
 // The evaluation engine (EvalEngineConfig) adds three orthogonal levers:
 //   * a memoization cache (cost/cost_cache.h), on by default, that
 //     short-circuits repeat evaluations by Zobrist fingerprint with full
-//     edge-set verification. One byte-bounded cache is shared by the root
-//     evaluator and all its clones, and it allocates nothing until its
-//     first insert;
+//     edge-set verification. One byte-bounded, lock-striped cache is shared
+//     by the root evaluator and all its clones, and it allocates nothing
+//     until its first insert;
 //   * the shortest-path solver choice (graph/shortest_paths.h);
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips
-//     (--dsssp), fed by parent-fingerprint hints from the GA.
+//     (--dsssp), fed by the parent-fingerprint hint each evaluation carries
+//     in EvalRequest::parent_hint.
 // All are exact: every configuration yields bit-identical costs, so GA
 // trajectories do not depend on engine settings. Cache hits still count as
 // evaluations() — budgets and traces agree whether or not the cache is on.
@@ -36,7 +37,6 @@
 
 namespace cold {
 
-class SharedCostCache;
 class Evaluator;
 
 namespace detail {
@@ -48,15 +48,16 @@ namespace detail {
 void refund_evaluations(Evaluator& eval, std::size_t n);
 }  // namespace detail
 
-/// Inputs of one evaluation beyond the topology itself. The request carries
-/// everything the old stateful surface smuggled through the evaluator
-/// (set_parent_hint) plus which outputs the caller wants, so one call site
-/// reads as one evaluation.
+/// Inputs of one evaluation beyond the topology itself: the delta engine's
+/// parent hint and which outputs the caller wants, so one call site reads
+/// as one evaluation and the evaluator keeps no per-call state.
 struct EvalRequest {
-  /// Zobrist fingerprint of the topology this candidate was derived from —
-  /// the delta engine's parent probe (purely a performance hint; matches
-  /// are verified by a real adjacency diff). 0 means "no hint", in which
-  /// case any hint planted via the deprecated set_parent_hint() is used.
+  /// Zobrist fingerprint of the topology this candidate was derived from
+  /// (the GA records it during variation) — the delta engine's parent
+  /// probe. Purely a performance hint: matches are verified by a real
+  /// adjacency diff, so a wrong or missing hint can only cost probe time,
+  /// never exactness. 0 means "no hint". Ignored when the delta engine is
+  /// off.
   std::uint64_t parent_hint = 0;
   /// Copy the per-link loads into the result when the routing is feasible.
   /// Such an evaluation skips the cache probe (a hit would skip routing and
@@ -75,9 +76,8 @@ struct EvalRequest {
   ThreadPool* pool = nullptr;
 };
 
-/// Outcome of one evaluation. Owns its outputs: unlike the deprecated
-/// last_loads() accessor, the loads here cannot be invalidated by a later
-/// evaluation on the same evaluator.
+/// Outcome of one evaluation. Owns its outputs, so a later evaluation on the
+/// same evaluator cannot invalidate them.
 struct EvalResult {
   CostBreakdown breakdown;
   /// True iff `loads` is populated: requested and feasible. With
@@ -108,11 +108,10 @@ class Evaluator {
 
   /// A thread-private copy: shares `lengths`/`traffic` with this evaluator
   /// (immutable, so concurrent reads are safe) but owns fresh `loads`/
-  /// routing scratch and zeroed statistics. With a private cache the clone
-  /// gets its own empty cache (same engine config); with
-  /// EvalCacheConfig::shared it shares this evaluator's SharedCostCache, so
-  /// an entry filled on any worker hits on every other. The clone and the
-  /// original may then be used concurrently from different threads.
+  /// routing scratch and zeroed statistics. It shares this evaluator's
+  /// CostCache, so an entry filled on any worker hits on every other. The
+  /// clone and the original may then be used concurrently from different
+  /// threads.
   Evaluator clone() const;
 
   /// Folds a clone's statistics (evaluation count and cache counters) into
@@ -133,23 +132,6 @@ class Evaluator {
   /// evaluate(g).total().
   double cost(const Topology& g);
 
-  /// DEPRECATED(PR7): use evaluate(g).breakdown. Thin wrapper kept so
-  /// pre-sparse call sites compile; consumes any planted parent hint, like
-  /// evaluate().
-  CostBreakdown breakdown(const Topology& g);
-
-  /// DEPRECATED(PR7): use evaluate(g, {.want_loads = true}).loads, which the
-  /// caller owns. This accessor scatters the sparse loads into a dense
-  /// matrix view that is invalidated by the next evaluation. Throws
-  /// std::logic_error when no feasible routing backs the loads: before the
-  /// first evaluation, after an infeasible one, and after a cache hit
-  /// (which skips routing entirely).
-  const Matrix<double>& last_loads() const;
-
-  /// DEPRECATED(PR7): query evaluate()'s EvalResult::loads_valid instead.
-  /// Whether last_loads() is currently backed by a fresh feasible routing.
-  bool has_last_loads() const { return loads_valid_; }
-
   std::size_t num_nodes() const { return lengths_.rows(); }
   const DistanceProvider& lengths() const { return lengths_; }
   const CompressedTraffic& traffic() const { return traffic_; }
@@ -161,8 +143,8 @@ class Evaluator {
   /// included — the counter tracks requested evaluations, not routings.
   std::size_t evaluations() const { return evaluations_; }
 
-  /// Cache counters: this instance's own cache operations (on its private
-  /// cache or the shared one) plus everything folded in via merge_stats().
+  /// Cache counters: this instance's own operations on the shared cache
+  /// plus everything folded in via merge_stats().
   /// All zeros when the cache is disabled. Each instance counts its *own*
   /// lookups/inserts, so clone totals still sum without double counting and
   /// conservation (hits + misses == lookups, inserts <= misses) holds per
@@ -183,18 +165,6 @@ class Evaluator {
 
   /// Evaluations served by dedup fan-out (merged like evaluations()).
   std::size_t dedup_skipped() const { return dedup_skipped_; }
-
-  /// DEPRECATED(PR7): pass the hint in EvalRequest::parent_hint instead.
-  /// Plants the Zobrist fingerprint of the topology the *next* evaluation's
-  /// argument was derived from (the GA records it during variation). Purely
-  /// a performance hint for the delta engine's parent probe — matches are
-  /// verified by a real adjacency diff, and a wrong or missing hint can
-  /// only cost probe time, never exactness. Consumed by one evaluation;
-  /// 0 means "no hint"; a nonzero EvalRequest::parent_hint wins over a
-  /// planted one. Ignored when the delta engine is off.
-  void set_parent_hint(std::uint64_t fingerprint) {
-    parent_hint_ = fingerprint;
-  }
 
   /// Delta-engine counters (merged across clones like evaluations()):
   /// hits = evaluations served by incremental tree repair, fallbacks =
@@ -230,36 +200,38 @@ class Evaluator {
   /// The key salt this instance's cache operations use: 0 for the plain
   /// objective, a hash of the resilience or multipath config otherwise — so
   /// evaluations under different objectives/routing modes of the same
-  /// topology can never conflate in a (possibly shared) cache. use_delta is
+  /// topology can never conflate in the shared cache. use_delta is
   /// excluded: it changes timing, never values. Exposed for tests.
   std::uint64_t cache_salt() const { return cache_salt_; }
 
-  /// The cross-worker cache, or nullptr when not in shared mode. Exposed so
-  /// tests can assert clones share one instance and inspect its totals.
-  const SharedCostCache* shared_cache() const { return shared_cache_.get(); }
+  /// The cache this evaluator and its clones share, or nullptr when the
+  /// cache is disabled. Exposed so tests can assert clones share one
+  /// instance and inspect its totals.
+  const CostCache* cache() const { return cache_.get(); }
 
  private:
   friend void detail::refund_evaluations(Evaluator& eval, std::size_t n);
 
   /// Clone construction: shares the parent's context (provider cores, CSR,
-  /// shared cache) with fresh scratch, caches and counters.
+  /// cache) with fresh scratch and counters.
   struct CloneTag {};
   Evaluator(CloneTag, const Evaluator& parent);
 
-  /// Creates the per-instance engine state (private cache, delta store)
-  /// from engine_; shared by both public ctors and the clone ctor.
+  /// Creates the per-instance engine state (delta store, resilience engine,
+  /// cache salt) from engine_; shared by both public ctors and the clone
+  /// ctor.
   void init_engine_state();
 
   /// Returns this instance's cache counters and zeroes them (its own
   /// operations' and the merged accumulator's).
   EvalCacheStats take_cache_stats();
 
-  /// Stores `b` for `g` in whichever cache (shared or private) is active.
+  /// Stores `b` for `g` in the cache, if enabled.
   void insert_in_cache(const Topology& g, const CostBreakdown& b);
 
   /// evaluate()'s core: cache probe (unless `probe_cache` is false), then
   /// routing (delta or full sweep, the latter's trees on `pool` when
-  /// non-null). `hint` is already resolved; does not touch parent_hint_.
+  /// non-null). `hint` is the request's parent hint.
   CostBreakdown breakdown_impl(const Topology& g, std::uint64_t hint,
                                bool probe_cache, ThreadPool* pool);
 
@@ -294,22 +266,18 @@ class Evaluator {
                                  const std::vector<ShortestPathTree>* base_trees);
 
   // The context is shared across clones and never mutated after
-  // construction; scratch, cache and counters are per-instance. Both
-  // members are value types over shared immutable cores, so copies cost
-  // O(1) memory regardless of n.
+  // construction, and the cache is shared; scratch and counters are
+  // per-instance. Both context members are value types over shared
+  // immutable cores, so copies cost O(1) memory regardless of n.
   DistanceProvider lengths_;
   CompressedTraffic traffic_;
   CostParams params_;
   EvalEngineConfig engine_;
-  std::unique_ptr<CostCache> cache_;  ///< null when disabled or shared
-  std::shared_ptr<SharedCostCache> shared_cache_;  ///< null unless shared
+  std::shared_ptr<CostCache> cache_;  ///< null when disabled
   EvalCacheStats cache_stats_;  ///< *this* instance's cache operations
   EvalCacheStats merged_cache_stats_;  ///< folded in from workers
   EdgeLoads loads_;  ///< O(n + m) per-link loads of the last feasible routing
-  bool loads_valid_ = false;
-  /// Dense scatter backing the deprecated last_loads() accessor only;
-  /// empty until that accessor is used.
-  mutable Matrix<double> legacy_loads_;
+  bool loads_valid_ = false;  ///< loads_ backs the last evaluation
   RoutingWorkspace ws_;
   std::size_t evaluations_ = 0;
   std::size_t dedup_skipped_ = 0;
@@ -318,7 +286,6 @@ class Evaluator {
   // delta_state.h for why states are not shared across clones).
   std::unique_ptr<RoutingStateStore> delta_store_;  ///< null when off
   DeltaStats delta_stats_;
-  std::uint64_t parent_hint_ = 0;
   SpUpdateWorkspace sp_ws_;
   std::vector<Edge> diff_added_;
   std::vector<Edge> diff_removed_;

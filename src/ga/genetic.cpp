@@ -135,10 +135,12 @@ class ParallelScorer {
   /// written by exactly one task and counters are summed after the join.
   /// `hints` (nullable, aligned with `gs`) carries each offspring's parent
   /// fingerprint to the worker's objective — the delta evaluation engine's
-  /// probe hint; exactness never depends on it. Repair reads distances
-  /// through the *worker's* provider (each clone owns a private row-tile
-  /// cache; a shared matrix-free provider would race in row_view) — same
-  /// core, bit-identical doubles, so results are unaffected.
+  /// probe hint, set right before every cost() call (0 without `hints`),
+  /// so no hint outlives its evaluation; exactness never depends on it.
+  /// Repair reads distances through the *worker's* provider (each clone
+  /// owns a private row-tile cache; a shared matrix-free provider would
+  /// race in row_view) — same core, bit-identical doubles, so results are
+  /// unaffected.
   void score(std::vector<Topology>& gs, std::vector<double>& costs,
              std::size_t begin, GaResult& result,
              const std::vector<std::uint64_t>* hints = nullptr) {
@@ -160,7 +162,7 @@ class ParallelScorer {
         per_worker[w].links_repaired += added;
       }
       ++per_worker[w].evaluations;
-      if (hints != nullptr) objectives_[w]->set_parent_hint((*hints)[i]);
+      objectives_[w]->set_parent_hint(hints != nullptr ? (*hints)[i] : 0);
       costs[i] = objectives_[w]->cost(gs[i]);
       executor_[i] = static_cast<std::uint32_t>(w);  // slot-owned
     };
@@ -184,7 +186,6 @@ class ParallelScorer {
       result.links_repaired += c.links_repaired;
       result.evaluations += c.evaluations;
     }
-    clear_hints();
   }
 
  private:
@@ -229,14 +230,6 @@ class ParallelScorer {
     if (retained_on_.size() > kAffinityMapCap) retained_on_.clear();
   }
 
-  /// End-of-pass hygiene: a hint is one-shot, but if a worker's last
-  /// set_parent_hint was never consumed (an objective threw, or a dedup
-  /// group emptied), it must not bias the first unhinted evaluation of the
-  /// next pass.
-  void clear_hints() {
-    for (Objective* o : objectives_) o->set_parent_hint(0);
-  }
-
   static constexpr std::size_t kAffinityMapCap = 1 << 14;
   /// The GaConfig::dedup variant of score(): group [begin, size) by
   /// fingerprint (elites [0, begin) seed the groups), repair + score one
@@ -263,7 +256,7 @@ class ParallelScorer {
     const auto body = [&](std::size_t k, std::size_t w) {
       const std::size_t i = uniques[k];
       added[i] = repair_connectivity(gs[i], objectives_[w]->lengths());
-      if (hints != nullptr) objectives_[w]->set_parent_hint((*hints)[i]);
+      objectives_[w]->set_parent_hint(hints != nullptr ? (*hints)[i] : 0);
       costs[i] = objectives_[w]->cost(gs[i]);
       executor_[i] = static_cast<std::uint32_t>(w);  // slot-owned
     };
@@ -280,7 +273,6 @@ class ParallelScorer {
     } else {
       pool_->parallel_for(0, uniques.size(), body);
     }
-    clear_hints();
     // Sequential fan-out after the join. Counters are charged per candidate
     // using its representative's repair work, exactly what scoring the
     // duplicate itself would have recorded.
@@ -492,23 +484,6 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
 
 GaResult run_ga(Evaluator& eval, Rng& rng, const GaRunOptions& options) {
   EvaluatorObjective objective(eval);
-  return run_ga(objective, rng, options);
-}
-
-GaResult run_ga(Objective& objective, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds) {
-  GaRunOptions options;
-  options.config = config;
-  options.seeds = seeds;
-  return run_ga(objective, rng, options);
-}
-
-GaResult run_ga(Evaluator& eval, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds) {
-  EvaluatorObjective objective(eval);
-  GaRunOptions options;
-  options.config = config;
-  options.seeds = seeds;
   return run_ga(objective, rng, options);
 }
 

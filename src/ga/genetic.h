@@ -105,9 +105,7 @@ struct GaResult {
   std::uint64_t steals = 0;
 };
 
-/// Everything one GA invocation needs beyond the objective and the RNG —
-/// the single entry point that replaced the growing positional-argument
-/// overload set.
+/// Everything one GA invocation needs beyond the objective and the RNG.
 struct GaRunOptions {
   GaConfig config;
 
@@ -148,13 +146,5 @@ GaResult run_ga(Evaluator& eval, Rng& rng, const GaRunOptions& options);
 std::vector<std::size_t> dedup_representatives(
     const std::vector<Topology>& gs,
     const std::vector<std::uint64_t>& fingerprints, std::size_t begin);
-
-/// Deprecated positional-argument wrappers (pre-telemetry API). They
-/// forward to the GaRunOptions entry point with no observer and no stop
-/// condition; prefer run_ga(objective, rng, {.config = ..., .seeds = ...}).
-GaResult run_ga(Objective& objective, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds = {});
-GaResult run_ga(Evaluator& eval, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds = {});
 
 }  // namespace cold

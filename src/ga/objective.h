@@ -49,9 +49,11 @@ class Objective {
   virtual void charge_duplicates(std::size_t /*n*/) {}
 
   /// Fingerprint of the topology the next cost() argument was derived from
-  /// (the GA records each offspring's parent during variation). Purely a
-  /// performance hint for the delta evaluation engine; see
-  /// Evaluator::set_parent_hint. No-op by default.
+  /// (the GA records each offspring's parent during variation, and sets it
+  /// — 0 for none — right before every cost() call). Applies to that one
+  /// call. Purely a performance hint for the delta evaluation engine,
+  /// which receives it as EvalRequest::parent_hint; a wrong or missing
+  /// hint only costs probe time. No-op by default.
   virtual void set_parent_hint(std::uint64_t /*fingerprint*/) {}
 
   /// This objective's delta-engine counters, or nullptr when it has no
@@ -75,8 +77,7 @@ class EvaluatorObjective final : public Objective {
         eval_(owned_.get()) {}
 
   double cost(const Topology& g) override {
-    // The hint buffered by set_parent_hint() rides along in the request —
-    // the adapter owns the one-shot semantics, not the evaluator.
+    // The hint from set_parent_hint() rides along in the request.
     EvalRequest req;
     req.parent_hint = std::exchange(hint_, 0);
     return eval_->evaluate(g, req).total();

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -85,7 +86,9 @@ TEST(CostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
   cache.insert(a, feasible_breakdown(1.0));
   EXPECT_EQ(lookup(cache, b), std::nullopt);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_NE(lookup(cache, a), std::nullopt);
+  const std::optional<CostBreakdown> hit = lookup(cache, a);
+  ASSERT_NE(hit, std::nullopt);
+  EXPECT_DOUBLE_EQ(hit->existence, 1.0);
 }
 
 TEST(CostCache, VerificationRejectsForgedKeyWithEqualShape) {
@@ -224,6 +227,136 @@ TEST(CostCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_NE(lookup(cache, graphs[4]), std::nullopt);
 }
 
+TEST(CostCache, EvictionKeepsConservationInvariants) {
+  // A 64 KiB budget gives each of the 64 shards 1 KiB, a handful of
+  // entries; inserting every single-edge topology of K_70 (2415 distinct
+  // graphs) must evict, stay within the byte budget, and keep
+  // size == inserts - evictions (all graphs distinct, so no overwrites).
+  CostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
+  ASSERT_EQ(cache.max_bytes(), 64u << 10);
+  std::size_t inserted = 0;
+  for (NodeId u = 0; u < 70; ++u) {
+    for (NodeId v = u + 1; v < 70; ++v) {
+      cache.insert(Topology::from_edges(70, {{u, v}}),
+                   feasible_breakdown(static_cast<double>(inserted)));
+      ++inserted;
+    }
+  }
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.inserts, inserted);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+  EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
+}
+
+TEST(CostCache, InsertStormAtN2000StaysUnderByteBudget) {
+  // City-scale entries (n = 2000, m ~ 2100, ~4 KB encoded each). Under a
+  // 128 KiB budget (the default) they exceed a shard's 2 KiB share and are
+  // never stored; 1 MiB holds a few per shard, so 300 graphs churn. Both
+  // keep the resident bytes within the budget and the counters conserved.
+  constexpr NodeId kN = 2000;
+  Rng rng(2000);
+  std::vector<Topology> graphs;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Edge> edges;
+    for (NodeId v = 1; v < kN; ++v) {
+      edges.push_back({static_cast<NodeId>(rng.uniform_index(v)), v});
+    }
+    for (int c = 0; c < 100; ++c) {
+      const NodeId u = static_cast<NodeId>(rng.uniform_index(kN));
+      const NodeId v = static_cast<NodeId>(rng.uniform_index(kN));
+      if (u != v) edges.push_back({u, v});
+    }
+    graphs.push_back(Topology::from_edges(kN, edges));
+  }
+  for (const std::size_t budget : {std::size_t{128} << 10,
+                                   std::size_t{1} << 20}) {
+    CostCache cache(EvalCacheConfig{.max_bytes = budget});
+    std::size_t finds = 0;
+    for (std::size_t round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        ++finds;
+        if (const std::optional<CostBreakdown> got =
+                lookup(cache, graphs[i])) {
+          EXPECT_EQ(got->existence, static_cast<double>(i));
+        } else {
+          cache.insert(graphs[i], feasible_breakdown(static_cast<double>(i)));
+        }
+        ASSERT_LE(cache.resident_bytes(), cache.max_bytes());
+      }
+    }
+    const EvalCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, finds);
+    EXPECT_LE(stats.inserts, stats.misses);
+    EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
+    if (budget < (std::size_t{1} << 20)) {
+      EXPECT_EQ(stats.inserts, 0u);
+      EXPECT_EQ(cache.resident_bytes(), 0u);
+    } else {
+      EXPECT_GT(cache.size(), 0u);
+      EXPECT_GT(stats.evictions, 0u);
+    }
+  }
+}
+
+// Concurrency stress — run under TSan in CI.
+TEST(CostCacheStress, EightThreadsOnCollidingShards) {
+  // A small budget forces constant eviction churn: 512 distinct
+  // topologies compete for ~5 entries per shard (1 KiB each). Each
+  // topology's identity is encoded in its stored breakdown, so any
+  // cross-entry corruption (a hit returning another graph's value) is
+  // detected exactly.
+  CostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
+  constexpr std::size_t kGraphs = 512;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kOpsPerThread = 10'000;
+
+  std::vector<Topology> graphs;
+  graphs.reserve(kGraphs);
+  for (std::size_t i = 0; i < kGraphs; ++i) {
+    const NodeId u = static_cast<NodeId>(i / 32);
+    const NodeId v = static_cast<NodeId>(32 + i % 32);
+    graphs.push_back(Topology::from_edges(64, {{u, v}}));
+  }
+
+  std::atomic<std::size_t> finds{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(1000 + t);
+      std::size_t local_finds = 0;
+      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
+        const std::size_t i = rng.uniform_index(kGraphs);
+        CostBreakdown out;
+        ++local_finds;
+        if (cache.find(graphs[i], out)) {
+          if (out.existence != static_cast<double>(i)) ++mismatches;
+        } else {
+          cache.insert(graphs[i], feasible_breakdown(static_cast<double>(i)));
+        }
+        if (op % 1024 == 0) {
+          (void)cache.stats();  // aggregate reads race-free mid-churn
+          (void)cache.size();
+        }
+      }
+      finds += local_finds;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const EvalCacheStats stats = cache.stats();
+  // Per-shard counters are updated under the shard lock, so conservation is
+  // exact even under maximal interleaving.
+  EXPECT_EQ(stats.hits + stats.misses, finds.load());
+  EXPECT_EQ(stats.inserts, stats.misses);  // every miss inserted exactly once
+  EXPECT_LE(stats.evictions, stats.inserts);
+  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);  // churn actually happened
+}
+
 TEST(EvaluatorCache, CachedResultsAreBitIdentical) {
   const Context ctx = small_context(12, 1);
   EvalEngineConfig engine;
@@ -239,15 +372,15 @@ TEST(EvaluatorCache, CachedResultsAreBitIdentical) {
     const NodeId u = rng.uniform_index(12);
     const NodeId v = (u + 1 + rng.uniform_index(11)) % 12;
     g.set_edge(u, v, !g.has_edge(u, v));
-    const CostBreakdown want = plain.breakdown(g);
-    const CostBreakdown got = cached.breakdown(g);
+    const CostBreakdown want = plain.evaluate(g).breakdown;
+    const CostBreakdown got = cached.evaluate(g).breakdown;
     ASSERT_EQ(got.feasible, want.feasible);
     ASSERT_EQ(got.total(), want.total());  // exact, no tolerance
     ASSERT_EQ(got.existence, want.existence);
     ASSERT_EQ(got.bandwidth, want.bandwidth);
     // Evaluate twice more so later iterations hit the cache.
-    ASSERT_EQ(cached.breakdown(g).total(), want.total());
-    ASSERT_EQ(cached.breakdown(g).total(), want.total());
+    ASSERT_EQ(cached.evaluate(g).total(), want.total());
+    ASSERT_EQ(cached.evaluate(g).total(), want.total());
   }
   const EvalCacheStats stats = cached.cache_stats();
   EXPECT_GT(stats.hits, 0u);
@@ -274,8 +407,8 @@ TEST(EvaluatorCache, InfeasibleResultsAreCachedToo) {
   engine.cache.enabled = true;
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
   const Topology disconnected = Topology::from_edges(6, {{0, 1}, {2, 3}});
-  EXPECT_FALSE(eval.breakdown(disconnected).feasible);
-  EXPECT_FALSE(eval.breakdown(disconnected).feasible);
+  EXPECT_FALSE(eval.evaluate(disconnected).feasible());
+  EXPECT_FALSE(eval.evaluate(disconnected).feasible());
   EXPECT_EQ(eval.cache_stats().hits, 1u);
 }
 
@@ -283,27 +416,26 @@ TEST(EvaluatorCache, CloneMergeFoldsCacheStats) {
   const Context ctx = small_context(8, 5);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
-  engine.cache.shared = false;  // this test exercises per-clone caches
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
   const Topology g = Topology::complete(8);
 
   Evaluator worker = eval.clone();
-  worker.cost(g);  // miss in the worker's private cache
+  worker.cost(g);  // miss; fills the cache the two instances share
   worker.cost(g);  // hit
   EXPECT_EQ(worker.cache_stats().hits, 1u);
 
-  eval.cost(g);  // the original's own cache is independent: miss
-  EXPECT_EQ(eval.cache_stats().misses, 1u);
-  EXPECT_EQ(eval.cache_stats().hits, 0u);
+  eval.cost(g);  // the worker's entry serves the original: hit
+  EXPECT_EQ(eval.cache_stats().misses, 0u);
+  EXPECT_EQ(eval.cache_stats().hits, 1u);
 
   eval.merge_stats(worker);
   EXPECT_EQ(eval.evaluations(), 3u);
-  EXPECT_EQ(eval.cache_stats().hits, 1u);
-  EXPECT_EQ(eval.cache_stats().misses, 2u);
+  EXPECT_EQ(eval.cache_stats().hits, 2u);
+  EXPECT_EQ(eval.cache_stats().misses, 1u);
   // Transfer semantics: merging is idempotent per unit of work.
   EXPECT_EQ(worker.cache_stats(), EvalCacheStats{});
   eval.merge_stats(worker);
-  EXPECT_EQ(eval.cache_stats().hits, 1u);
+  EXPECT_EQ(eval.cache_stats().hits, 2u);
   EXPECT_EQ(eval.evaluations(), 3u);
 }
 
@@ -312,58 +444,57 @@ TEST(EvaluatorLoads, LastLoadsRequiresFreshFeasibleRouting) {
   EvalEngineConfig engine;
   engine.cache.enabled = true;
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-  EXPECT_FALSE(eval.has_last_loads());
-  EXPECT_THROW(eval.last_loads(), std::logic_error);  // nothing evaluated yet
-
   const Topology ring = Topology::from_edges(
       6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
-  ASSERT_TRUE(eval.breakdown(ring).feasible);
-  EXPECT_TRUE(eval.has_last_loads());
-  EXPECT_EQ(eval.last_loads().rows(), 6u);
+  const EvalResult routed = eval.evaluate(ring, {.want_loads = true});
+  ASSERT_TRUE(routed.feasible());
+  EXPECT_TRUE(routed.loads_valid);
+  EXPECT_EQ(routed.loads.value.size(), ring.num_edges());
 
   // An infeasible evaluation leaves partial loads: they must not be served.
   const Topology disconnected = Topology::from_edges(6, {{0, 1}});
-  ASSERT_FALSE(eval.breakdown(disconnected).feasible);
-  EXPECT_FALSE(eval.has_last_loads());
-  EXPECT_THROW(eval.last_loads(), std::logic_error);
+  const EvalResult cut = eval.evaluate(disconnected, {.want_loads = true});
+  ASSERT_FALSE(cut.feasible());
+  EXPECT_FALSE(cut.loads_valid);
+  EXPECT_TRUE(cut.loads.value.empty());
 
-  ASSERT_TRUE(eval.breakdown(ring).feasible);  // cache hit: routing skipped
-  EXPECT_FALSE(eval.has_last_loads());
-  EXPECT_THROW(eval.last_loads(), std::logic_error);
+  // Loads only come when asked for: a plain evaluation (a cache hit here,
+  // so routing is skipped) returns none.
+  const EvalResult hit = eval.evaluate(ring);
+  ASSERT_TRUE(hit.feasible());
+  EXPECT_FALSE(hit.loads_valid);
+  EXPECT_TRUE(hit.loads.value.empty());
+  EXPECT_EQ(eval.cache_stats().hits, 1u);
 }
 
 TEST(EvaluatorLoads, WantLoadsRoutesEvenWhenCached) {
-  // With the cache on (the default, shared or private), asking for loads
-  // must never come back empty because the topology is resident: the
-  // evaluation skips the probe, routes, and refreshes the entry.
+  // With the cache on (the default), asking for loads must never come back
+  // empty because the topology is resident: the evaluation skips the
+  // probe, routes, and refreshes the entry.
   const Context ctx = small_context(9, 8);
-  for (const bool shared : {true, false}) {
-    EvalEngineConfig engine;
-    engine.cache.shared = shared;
-    Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-    const Topology g = Topology::complete(9);
-    const EvalResult first = eval.evaluate(g, {.want_loads = true});
-    const EvalResult second = eval.evaluate(g, {.want_loads = true});
-    ASSERT_TRUE(first.loads_valid);
-    ASSERT_TRUE(second.loads_valid);
-    ASSERT_EQ(first.loads.value.size(), g.num_edges());
-    ASSERT_EQ(second.loads.value.size(), g.num_edges());
-    for (std::size_t e = 0; e < g.num_edges(); ++e) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(first.loads.value[e]),
-                std::bit_cast<std::uint64_t>(second.loads.value[e]))
-          << e;
-    }
-    EXPECT_EQ(first.total(), second.total());
-    // The refreshed entry serves a plain evaluation; conservation holds.
-    const EvalResult hit = eval.evaluate(g);
-    EXPECT_FALSE(hit.loads_valid);
-    EXPECT_EQ(hit.total(), first.total());
-    const EvalCacheStats stats = eval.cache_stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.inserts, 2u);
-    EXPECT_EQ(stats.hits + stats.misses, eval.evaluations());
+  Evaluator eval(ctx.distances, ctx.traffic, kCosts);
+  const Topology g = Topology::complete(9);
+  const EvalResult first = eval.evaluate(g, {.want_loads = true});
+  const EvalResult second = eval.evaluate(g, {.want_loads = true});
+  ASSERT_TRUE(first.loads_valid);
+  ASSERT_TRUE(second.loads_valid);
+  ASSERT_EQ(first.loads.value.size(), g.num_edges());
+  ASSERT_EQ(second.loads.value.size(), g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(first.loads.value[e]),
+              std::bit_cast<std::uint64_t>(second.loads.value[e]))
+        << e;
   }
+  EXPECT_EQ(first.total(), second.total());
+  // The refreshed entry serves a plain evaluation; conservation holds.
+  const EvalResult hit = eval.evaluate(g);
+  EXPECT_FALSE(hit.loads_valid);
+  EXPECT_EQ(hit.total(), first.total());
+  const EvalCacheStats stats = eval.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.inserts, 2u);
+  EXPECT_EQ(stats.hits + stats.misses, eval.evaluations());
 }
 
 // The engine's headline guarantee: the GA trajectory is invariant under

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <unordered_set>
+#include <utility>
 
 #include "core/context.h"
 #include "ga/repair.h"
@@ -23,11 +26,12 @@ Evaluator make_evaluator(std::size_t n, CostParams params,
   return Evaluator(ctx.distances, ctx.traffic, params);
 }
 
-GaConfig small_ga() {
-  GaConfig cfg;
-  cfg.population = 30;
-  cfg.generations = 30;
-  return cfg;
+GaRunOptions small_ga(std::vector<Topology> seeds = {}) {
+  GaRunOptions options;
+  options.config.population = 30;
+  options.config.generations = 30;
+  options.seeds = std::move(seeds);
+  return options;
 }
 
 TEST(GaConfig, DerivesComposition) {
@@ -87,7 +91,7 @@ TEST(GaConfig, RejectsParentsBeyondClampedTournament) {
 TEST(RunGa, ProducesConnectedFiniteBest) {
   Evaluator eval = make_evaluator(15, CostParams{10, 1, 4e-4, 10});
   Rng rng(1);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, small_ga());
   EXPECT_TRUE(is_connected(r.best));
   EXPECT_TRUE(std::isfinite(r.best_cost));
   EXPECT_NEAR(r.best_cost, eval.cost(r.best), 1e-9);
@@ -97,8 +101,8 @@ TEST(RunGa, DeterministicGivenSeed) {
   Evaluator eval1 = make_evaluator(12, CostParams{10, 1, 1e-4, 0});
   Evaluator eval2 = make_evaluator(12, CostParams{10, 1, 1e-4, 0});
   Rng rng1(7), rng2(7);
-  const GaResult a = run_ga(eval1, small_ga(), rng1);
-  const GaResult b = run_ga(eval2, small_ga(), rng2);
+  const GaResult a = run_ga(eval1, rng1, small_ga());
+  const GaResult b = run_ga(eval2, rng2, small_ga());
   EXPECT_TRUE(a.best == b.best);
   EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
 }
@@ -107,7 +111,7 @@ TEST(RunGa, BestCostMonotoneOverGenerations) {
   // Elitism guarantees the running best never regresses.
   Evaluator eval = make_evaluator(15, CostParams{10, 1, 4e-4, 10});
   Rng rng(2);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, small_ga());
   for (std::size_t g = 1; g < r.best_cost_history.size(); ++g) {
     EXPECT_LE(r.best_cost_history[g], r.best_cost_history[g - 1] + 1e-12);
   }
@@ -126,14 +130,14 @@ TEST(RunGa, NeverWorseThanSeeds) {
     best_seed_cost = std::min(best_seed_cost, h.cost);
   }
   Rng rng(3);
-  const GaResult r = run_ga(eval, small_ga(), rng, seeds);
+  const GaResult r = run_ga(eval, rng, small_ga(seeds));
   EXPECT_LE(r.best_cost, best_seed_cost + 1e-9);
 }
 
 TEST(RunGa, NeverWorseThanMstAndClique) {
   Evaluator eval = make_evaluator(12, CostParams{10, 1, 1e-3, 0});
   Rng rng(4);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, small_ga());
   EXPECT_LE(r.best_cost,
             eval.cost(minimum_spanning_tree(eval.lengths())) + 1e-9);
   EXPECT_LE(r.best_cost, eval.cost(Topology::complete(12)) + 1e-9);
@@ -151,10 +155,11 @@ TEST(RunGa, FindsExactOptimumOnSmallInstances) {
       seeds.push_back(h.topology);
     }
     Rng rng(seed);
-    GaConfig cfg;
-    cfg.population = 48;
-    cfg.generations = 48;
-    const GaResult r = run_ga(eval, cfg, rng, seeds);
+    GaRunOptions options;
+    options.config.population = 48;
+    options.config.generations = 48;
+    options.seeds = seeds;
+    const GaResult r = run_ga(eval, rng, options);
     EXPECT_NEAR(r.best_cost, exact.cost, 1e-9) << "seed " << seed;
   }
 }
@@ -162,8 +167,8 @@ TEST(RunGa, FindsExactOptimumOnSmallInstances) {
 TEST(RunGa, FinalPopulationConsistent) {
   Evaluator eval = make_evaluator(10, CostParams{10, 1, 1e-4, 0});
   Rng rng(5);
-  GaConfig cfg = small_ga();
-  const GaResult r = run_ga(eval, cfg, rng);
+  const GaConfig cfg = small_ga().config;
+  const GaResult r = run_ga(eval, rng, small_ga());
   EXPECT_EQ(r.final_population.size(), cfg.population);
   EXPECT_EQ(r.final_costs.size(), cfg.population);
   for (std::size_t i = 0; i < r.final_population.size(); ++i) {
@@ -178,7 +183,7 @@ TEST(RunGa, FinalPopulationConsistent) {
 TEST(RunGa, SeedSizeMismatchThrows) {
   Evaluator eval = make_evaluator(10, CostParams{});
   Rng rng(6);
-  EXPECT_THROW(run_ga(eval, small_ga(), rng, {Topology(5)}),
+  EXPECT_THROW(run_ga(eval, rng, small_ga({Topology(5)})),
                std::invalid_argument);
 }
 
@@ -193,14 +198,14 @@ TEST(RunGa, HighHubCostProducesHubbyNetworks) {
     seeds.push_back(h.topology);
   }
   Rng rng(8);
-  const GaResult r = run_ga(eval, small_ga(), rng, seeds);
+  const GaResult r = run_ga(eval, rng, small_ga(seeds));
   EXPECT_LE(r.best.num_core_nodes(), 3u);
 }
 
 TEST(RunGa, HighBandwidthCostProducesMeshyNetworks) {
   Evaluator eval = make_evaluator(12, CostParams{1, 1, 1.0, 0});
   Rng rng(9);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, small_ga());
   // k2 dominant: approaching a clique (avg degree near n-1).
   EXPECT_GT(average_degree(r.best), 8.0);
 }
@@ -314,6 +319,70 @@ TEST(RunGaDedup, EachDistinctTopologyScoredOnce) {
   EXPECT_TRUE(r.best == ref.best);
 }
 
+/// Records every cost() call: the scored topology's fingerprint and the
+/// parent hint set for it. Not cloneable, so the GA scores sequentially and
+/// `calls` is the run's evaluation sequence in order. As the run's observer
+/// it also counts the calls made after the initial population.
+class HintRecordingObjective final : public Objective, public RunObserver {
+ public:
+  struct Call {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t hint = 0;
+  };
+
+  explicit HintRecordingObjective(Evaluator eval) : eval_(std::move(eval)) {}
+  double cost(const Topology& g) override {
+    calls.push_back({g.fingerprint(), std::exchange(hint_, 0)});
+    return eval_.cost(g);
+  }
+  const DistanceProvider& lengths() const override { return eval_.lengths(); }
+  void set_parent_hint(std::uint64_t fingerprint) override {
+    hint_ = fingerprint;
+  }
+  void on_generation_end(const GenerationEnd& e) override {
+    generation_calls += e.evaluations - e.dedup_skipped;
+  }
+
+  std::vector<Call> calls;
+  std::size_t generation_calls = 0;
+
+ private:
+  Evaluator eval_;
+  std::uint64_t hint_ = 0;
+};
+
+TEST(RunGa, EveryOffspringCarriesItsParentFingerprint) {
+  // The delta engine's parent probe only pays off if the GA hands it the
+  // right fingerprint; a missing hint costs probe time, never a result, so
+  // no trajectory test would notice its loss.
+  for (const bool dedup : {false, true}) {
+    HintRecordingObjective obj(make_evaluator(12, CostParams{10, 1, 4e-4, 10}));
+    GaRunOptions options;
+    options.config.population = 16;
+    options.config.generations = 6;
+    options.config.dedup = dedup;
+    options.observer = &obj;
+    Rng rng(13);
+    run_ga(obj, rng, options);
+
+    ASSERT_LT(obj.generation_calls, obj.calls.size());
+    const std::size_t initial = obj.calls.size() - obj.generation_calls;
+    std::unordered_set<std::uint64_t> scored;
+    for (std::size_t i = 0; i < obj.calls.size(); ++i) {
+      const HintRecordingObjective::Call& c = obj.calls[i];
+      const std::string where =
+          "dedup=" + std::to_string(dedup) + " call=" + std::to_string(i);
+      if (i < initial) {
+        EXPECT_EQ(c.hint, 0u) << where;  // the initial population has none
+      } else {
+        EXPECT_NE(c.hint, 0u) << where;
+        EXPECT_TRUE(scored.contains(c.hint)) << where;
+      }
+      scored.insert(c.fingerprint);
+    }
+  }
+}
+
 TEST(RunGaDedup, DuplicatesReceiveIdenticalCosts) {
   // Every pair of equal topologies in the final population must carry
   // exactly equal costs — the fan-out copies breakdowns, never recomputes.
@@ -364,12 +433,10 @@ TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
   ctx_cfg.num_pops = 18;
   Rng ctx_rng(9);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
-  enum class Cache { kOff, kPrivate, kShared };
-  const auto run = [&ctx](DsspMode dsssp, std::size_t threads, Cache cache) {
+  const auto run = [&ctx](DsspMode dsssp, std::size_t threads, bool cache) {
     EvalEngineConfig engine;
     engine.delta.mode = dsssp;
-    engine.cache.enabled = cache != Cache::kOff;
-    engine.cache.shared = cache == Cache::kShared;
+    engine.cache.enabled = cache;
     Evaluator eval(ctx.distances, ctx.traffic, CostParams{10, 1, 4e-4, 10},
                    engine);
     GaRunOptions options;
@@ -380,11 +447,10 @@ TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
     return run_ga(eval, rng, options);
   };
 
-  const GaResult reference = run(DsspMode::kOff, 1, Cache::kOff);
+  const GaResult reference = run(DsspMode::kOff, 1, /*cache=*/false);
   for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
     for (const std::size_t threads : {1u, 4u}) {
-      for (const Cache cache :
-           {Cache::kOff, Cache::kPrivate, Cache::kShared}) {
+      for (const bool cache : {false, true}) {
         const GaResult r = run(dsssp, threads, cache);
         ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
         ASSERT_EQ(r.best_cost, reference.best_cost);

@@ -120,11 +120,15 @@ TEST(EvaluatorClone, SharesContextOwnsScratch) {
   // (no deep copy of the matrices).
   EXPECT_TRUE(copy.lengths().shares_core_with(eval.lengths()));
   EXPECT_TRUE(copy.traffic().shares_core_with(eval.traffic()));
-  // Identical scoring.
+  // Identical scoring, loads included: each instance routes on its own
+  // scratch.
   const Topology mesh = Topology::complete(10);
-  EXPECT_DOUBLE_EQ(copy.cost(mesh), eval.cost(mesh));
-  // Private scratch: the clone's loads are its own object.
-  EXPECT_NE(&copy.last_loads(), &eval.last_loads());
+  const EvalResult a = copy.evaluate(mesh, {.want_loads = true});
+  const EvalResult b = eval.evaluate(mesh, {.want_loads = true});
+  EXPECT_DOUBLE_EQ(a.total(), b.total());
+  ASSERT_TRUE(a.loads_valid);
+  ASSERT_TRUE(b.loads_valid);
+  EXPECT_EQ(a.loads.value, b.loads.value);
 }
 
 TEST(EvaluatorClone, CountsMergeExactly) {
@@ -147,24 +151,24 @@ TEST(EvaluatorClone, CountsMergeExactly) {
   EXPECT_EQ(a.evaluations(), 0u);
 }
 
-GaConfig parallel_ga(std::size_t threads) {
-  GaConfig cfg;
-  cfg.population = 32;
-  cfg.generations = 12;
-  cfg.parallel.num_threads = threads;
-  return cfg;
+GaRunOptions parallel_ga(std::size_t threads) {
+  GaRunOptions options;
+  options.config.population = 32;
+  options.config.generations = 12;
+  options.config.parallel.num_threads = threads;
+  return options;
 }
 
 TEST(RunGa, ThreadCountDoesNotChangeResults) {
   const GaResult ref = [&] {
     Evaluator eval = make_evaluator(14, CostParams{10, 1, 4e-4, 10});
     Rng rng(11);
-    return run_ga(eval, parallel_ga(1), rng);
+    return run_ga(eval, rng, parallel_ga(1));
   }();
   for (const std::size_t threads : {2u, 8u}) {
     Evaluator eval = make_evaluator(14, CostParams{10, 1, 4e-4, 10});
     Rng rng(11);
-    const GaResult r = run_ga(eval, parallel_ga(threads), rng);
+    const GaResult r = run_ga(eval, rng, parallel_ga(threads));
     EXPECT_DOUBLE_EQ(r.best_cost, ref.best_cost) << threads;
     EXPECT_TRUE(r.best == ref.best) << threads;
     ASSERT_EQ(r.best_cost_history.size(), ref.best_cost_history.size());
@@ -190,7 +194,7 @@ TEST(RunGa, CloneEvaluationsFoldIntoPrimary) {
   for (const std::size_t threads : {1u, 4u}) {
     Evaluator eval = make_evaluator(10, CostParams{10, 1, 4e-4, 10});
     Rng rng(3);
-    const GaResult r = run_ga(eval, parallel_ga(threads), rng);
+    const GaResult r = run_ga(eval, rng, parallel_ga(threads));
     EXPECT_EQ(eval.evaluations(), r.evaluations) << threads;
   }
 }

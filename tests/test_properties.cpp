@@ -57,11 +57,11 @@ TEST_P(CostGridProperty, GaNeverLosesToItsSeeds) {
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, k2, k3});
   const double mst_cost = eval.cost(minimum_spanning_tree(ctx.distances));
   const double clique_cost = eval.cost(Topology::complete(12));
-  GaConfig ga;
-  ga.population = 20;
-  ga.generations = 15;
+  GaRunOptions options;
+  options.config.population = 20;
+  options.config.generations = 15;
   Rng rng(5);
-  const GaResult r = run_ga(eval, ga, rng);
+  const GaResult r = run_ga(eval, rng, options);
   EXPECT_LE(r.best_cost, std::min(mst_cost, clique_cost) + 1e-9);
 }
 
@@ -150,13 +150,13 @@ TEST_P(DensificationProperty, AddingLinksNeverRaisesBandwidthComponent) {
   const Context ctx = generate_context(cfg, rng);
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{0, 0, 1.0, 0});
   Topology g = minimum_spanning_tree(ctx.distances);
-  double prev = eval.breakdown(g).bandwidth;
+  double prev = eval.evaluate(g).breakdown.bandwidth;
   for (int additions = 0; additions < 15; ++additions) {
     // Add a random missing edge.
     NodeId i = rng.uniform_index(12), j = rng.uniform_index(12);
     if (i == j || g.has_edge(i, j)) continue;
     g.add_edge(i, j);
-    const double now = eval.breakdown(g).bandwidth;
+    const double now = eval.evaluate(g).breakdown.bandwidth;
     EXPECT_LE(now, prev + 1e-9);
     prev = now;
   }
@@ -261,11 +261,11 @@ TEST_P(OptimizerEquivalenceProperty, AllOptimizersProduceFeasibleNetworks) {
   const CostParams costs{10, 1, 4e-4, 10};
 
   Evaluator eval_ga(ctx.distances, ctx.traffic, costs);
-  GaConfig ga_cfg;
-  ga_cfg.population = 16;
-  ga_cfg.generations = 12;
+  GaRunOptions ga_options;
+  ga_options.config.population = 16;
+  ga_options.config.generations = 12;
   Rng ga_rng(GetParam());
-  const GaResult ga = run_ga(eval_ga, ga_cfg, ga_rng);
+  const GaResult ga = run_ga(eval_ga, ga_rng, ga_options);
   EXPECT_TRUE(is_connected(ga.best));
 
   Evaluator eval_hc(ctx.distances, ctx.traffic, costs);

@@ -24,7 +24,6 @@
 #include "core/synthesizer.h"
 #include "cost/cost_cache.h"
 #include "cost/evaluator.h"
-#include "cost/shared_cost_cache.h"
 #include "ga/repair.h"
 #include "graph/algorithms.h"
 #include "graph/connectivity.h"
@@ -240,7 +239,8 @@ TEST(ResilientObjective, PositiveWeightChargesThePenalty) {
 
 // ---------------------------------------------------------------------------
 // Cache-key separation: plain and resilient breakdowns of the same topology
-// must never conflate, in either cache implementation.
+// must never conflate in the cache: salted entries coexist with unsalted
+// ones, and a probe under any other salt misses.
 // ---------------------------------------------------------------------------
 
 TEST(CacheSalt, PrivateCacheSeparatesObjectives) {
@@ -273,8 +273,7 @@ TEST(CacheSalt, SharedCacheSeparatesObjectives) {
   g.add_edge(2, 3);
   EvalCacheConfig cfg;
   cfg.enabled = true;
-  cfg.shared = true;
-  SharedCostCache cache(cfg);
+  CostCache cache(cfg);
   CostBreakdown stored;
   stored.existence = 3.0;
   cache.insert(g, stored, /*salt=*/0x77);
@@ -325,19 +324,18 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   std::vector<double> reference;
   double reference_cost = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const int cache_mode : {0, 1, 2}) {  // off | private | shared
+    for (const bool cache : {false, true}) {
       for (const bool dsssp : {false, true}) {
         for (const bool dedup : {false, true}) {
           SynthesisConfig cfg = resilient_config();
           cfg.ga.parallel.num_threads = threads;
-          cfg.engine.cache.enabled = cache_mode != 0;
-          cfg.engine.cache.shared = cache_mode == 2;
+          cfg.engine.cache.enabled = cache;
           cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
           cfg.ga.dedup = dedup;
           const SynthesisResult r = Synthesizer(cfg).synthesize(7);
           const std::string what =
               "threads=" + std::to_string(threads) +
-              " cache=" + std::to_string(cache_mode) +
+              " cache=" + std::to_string(cache) +
               " dsssp=" + std::to_string(dsssp) +
               " dedup=" + std::to_string(dedup);
           if (reference.empty()) {
@@ -358,7 +356,6 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   SynthesisConfig cfg = resilient_config();
   cfg.ga.parallel.num_threads = 8;
   cfg.engine.cache.enabled = true;
-  cfg.engine.cache.shared = true;
   cfg.engine.delta.mode = DsspMode::kOn;
   cfg.ga.dedup = true;
   const SynthesisResult r = Synthesizer(cfg).synthesize(7);

@@ -1,25 +1,22 @@
-// Tests for the shared cross-worker cost cache and the engine-wide
-// determinism contract it must uphold.
+// Tests for the cost cache shared across an evaluator's worker clones and
+// the engine-wide determinism contract it must uphold (the cache's eviction,
+// budget and stress tests are in test_cost_cache.cpp).
 //
 // Three layers:
-//   1. SharedCostCache unit behavior (verified hits, collision rejection,
-//      LRU eviction, counter conservation).
-//   2. A multi-threaded stress test hammering colliding shards — meant to
-//      run under TSan as well as the regular suites.
+//   1. The shared cache's lookup contract: verified hits, collision
+//      rejection, in-place overwrites.
+//   2. Evaluator integration: clones share one cache, and its hits are
+//      bit-identical to routing.
 //   3. The engine's headline property: GA trajectories, best-cost
 //      histories, and timing-free telemetry (canonical traces + JSON
-//      reports) are byte-identical across {no cache, private cache, shared
-//      cache} x {dedup on/off} x {1, 2, 4, 8 threads}.
-#include "cost/shared_cost_cache.h"
-
+//      reports) are byte-identical across {no cache, cache} x
+//      {dedup on/off} x {1, 2, 4, 8 threads}.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/context.h"
@@ -44,11 +41,11 @@ CostBreakdown feasible_breakdown(double existence) {
 const CostParams kCosts{10.0, 1.0, 4e-4, 10.0};
 
 // ---------------------------------------------------------------------------
-// SharedCostCache unit behavior.
+// The shared cache's lookup contract.
 // ---------------------------------------------------------------------------
 
 TEST(SharedCostCache, MissThenVerifiedHit) {
-  SharedCostCache cache(EvalCacheConfig{});
+  CostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(4, {{0, 1}, {1, 2}});
   CostBreakdown out;
   EXPECT_FALSE(cache.find(g, out));
@@ -67,7 +64,7 @@ TEST(SharedCostCache, MissThenVerifiedHit) {
 TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
   // Same edge set on different node counts XORs to the same fingerprint;
   // full verification must still reject the lookup.
-  SharedCostCache cache(EvalCacheConfig{});
+  CostCache cache(EvalCacheConfig{});
   const Topology a = Topology::from_edges(4, {{0, 1}});
   const Topology b = Topology::from_edges(5, {{0, 1}});
   ASSERT_EQ(a.fingerprint(), b.fingerprint());
@@ -79,7 +76,7 @@ TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
 }
 
 TEST(SharedCostCache, OverwritesInPlace) {
-  SharedCostCache cache(EvalCacheConfig{});
+  CostCache cache(EvalCacheConfig{});
   const Topology g = Topology::from_edges(3, {{0, 1}});
   cache.insert(g, feasible_breakdown(1.0));
   cache.insert(g, feasible_breakdown(2.0));
@@ -89,139 +86,6 @@ TEST(SharedCostCache, OverwritesInPlace) {
   CostBreakdown out;
   ASSERT_TRUE(cache.find(g, out));
   EXPECT_DOUBLE_EQ(out.existence, 2.0);
-}
-
-TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
-  // A 64 KiB budget gives each of the 64 shards 1 KiB, a handful of
-  // entries; inserting every single-edge topology of K_70 (2415 distinct
-  // graphs) must evict, stay within the byte budget, and keep
-  // size == inserts - evictions (all graphs distinct, so no overwrites).
-  SharedCostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
-  ASSERT_EQ(cache.max_bytes(), 64u << 10);
-  std::size_t inserted = 0;
-  for (NodeId u = 0; u < 70; ++u) {
-    for (NodeId v = u + 1; v < 70; ++v) {
-      cache.insert(Topology::from_edges(70, {{u, v}}),
-                   feasible_breakdown(static_cast<double>(inserted)));
-      ++inserted;
-    }
-  }
-  const EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, inserted);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
-  EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
-}
-
-TEST(SharedCostCache, InsertStormAtN2000StaysUnderByteBudget) {
-  // City-scale entries (n = 2000, m ~ 2100, ~4 KB encoded each). Under a
-  // 128 KiB budget (the default) they exceed a shard's 2 KiB share and are
-  // never stored; 1 MiB holds a few per shard, so 300 graphs churn. Both
-  // keep the resident bytes within the budget and the counters conserved.
-  constexpr NodeId kN = 2000;
-  Rng rng(2000);
-  std::vector<Topology> graphs;
-  for (int i = 0; i < 300; ++i) {
-    std::vector<Edge> edges;
-    for (NodeId v = 1; v < kN; ++v) {
-      edges.push_back({static_cast<NodeId>(rng.uniform_index(v)), v});
-    }
-    for (int c = 0; c < 100; ++c) {
-      const NodeId u = static_cast<NodeId>(rng.uniform_index(kN));
-      const NodeId v = static_cast<NodeId>(rng.uniform_index(kN));
-      if (u != v) edges.push_back({u, v});
-    }
-    graphs.push_back(Topology::from_edges(kN, edges));
-  }
-  for (const std::size_t budget : {std::size_t{128} << 10,
-                                   std::size_t{1} << 20}) {
-    SharedCostCache cache(EvalCacheConfig{.max_bytes = budget});
-    std::size_t finds = 0;
-    for (std::size_t round = 0; round < 2; ++round) {
-      for (std::size_t i = 0; i < graphs.size(); ++i) {
-        CostBreakdown out;
-        ++finds;
-        if (cache.find(graphs[i], out)) {
-          EXPECT_EQ(out.existence, static_cast<double>(i));
-        } else {
-          cache.insert(graphs[i], feasible_breakdown(static_cast<double>(i)));
-        }
-        ASSERT_LE(cache.resident_bytes(), cache.max_bytes());
-      }
-    }
-    const EvalCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits + stats.misses, finds);
-    EXPECT_LE(stats.inserts, stats.misses);
-    EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
-    if (budget < (std::size_t{1} << 20)) {
-      EXPECT_EQ(stats.inserts, 0u);
-      EXPECT_EQ(cache.resident_bytes(), 0u);
-    } else {
-      EXPECT_GT(cache.size(), 0u);
-      EXPECT_GT(stats.evictions, 0u);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency stress — run under TSan in CI.
-// ---------------------------------------------------------------------------
-
-TEST(SharedCostCacheStress, EightThreadsOnCollidingShards) {
-  // A small budget forces constant eviction churn: 512 distinct
-  // topologies compete for ~5 entries per shard (1 KiB each). Each
-  // topology's identity is encoded in its stored breakdown, so any
-  // cross-entry corruption (a hit returning another graph's value) is
-  // detected exactly.
-  SharedCostCache cache(EvalCacheConfig{.max_bytes = 64 << 10});
-  constexpr std::size_t kGraphs = 512;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kOpsPerThread = 10'000;
-
-  std::vector<Topology> graphs;
-  graphs.reserve(kGraphs);
-  for (std::size_t i = 0; i < kGraphs; ++i) {
-    const NodeId u = static_cast<NodeId>(i / 32);
-    const NodeId v = static_cast<NodeId>(32 + i % 32);
-    graphs.push_back(Topology::from_edges(64, {{u, v}}));
-  }
-
-  std::atomic<std::size_t> finds{0};
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(1000 + t);
-      std::size_t local_finds = 0;
-      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
-        const std::size_t i = rng.uniform_index(kGraphs);
-        CostBreakdown out;
-        ++local_finds;
-        if (cache.find(graphs[i], out)) {
-          if (out.existence != static_cast<double>(i)) ++mismatches;
-        } else {
-          cache.insert(graphs[i], feasible_breakdown(static_cast<double>(i)));
-        }
-        if (op % 1024 == 0) {
-          (void)cache.stats();  // aggregate reads race-free mid-churn
-          (void)cache.size();
-        }
-      }
-      finds += local_finds;
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(mismatches.load(), 0u);
-  const EvalCacheStats stats = cache.stats();
-  // Per-shard counters are updated under the shard lock, so conservation is
-  // exact even under maximal interleaving.
-  EXPECT_EQ(stats.hits + stats.misses, finds.load());
-  EXPECT_EQ(stats.inserts, stats.misses);  // every miss inserted exactly once
-  EXPECT_LE(stats.evictions, stats.inserts);
-  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.evictions, 0u);  // churn actually happened
 }
 
 // ---------------------------------------------------------------------------
@@ -239,15 +103,14 @@ TEST(SharedEvaluatorCache, CloneHitsOnPrimaryInsert) {
   const Context ctx = small_context(8, 5);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
-  engine.cache.shared = true;
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-  ASSERT_NE(eval.shared_cache(), nullptr);
+  ASSERT_NE(eval.cache(), nullptr);
   const Topology g = Topology::complete(8);
 
   eval.cost(g);  // miss; fills the shared cache
   Evaluator worker = eval.clone();
-  EXPECT_EQ(worker.shared_cache(), eval.shared_cache());
-  worker.cost(g);  // cross-instance hit — impossible with private caches
+  EXPECT_EQ(worker.cache(), eval.cache());
+  worker.cost(g);  // cross-instance hit
   EXPECT_EQ(worker.cache_stats().hits, 1u);
   EXPECT_EQ(worker.cache_stats().misses, 0u);
 
@@ -262,18 +125,18 @@ TEST(SharedEvaluatorCache, CloneHitsOnPrimaryInsert) {
 TEST(SharedEvaluatorCache, FreshEvaluatorHoldsNoShardTables) {
   const Context ctx = small_context(8, 7);
   Evaluator eval(ctx.distances, ctx.traffic, kCosts);  // default engine
-  ASSERT_NE(eval.shared_cache(), nullptr);
-  EXPECT_EQ(eval.shared_cache()->resident_bytes(), 0u);
+  ASSERT_NE(eval.cache(), nullptr);
+  EXPECT_EQ(eval.cache()->resident_bytes(), 0u);
   Evaluator worker = eval.clone();
-  EXPECT_EQ(worker.shared_cache()->resident_bytes(), 0u);
+  EXPECT_EQ(worker.cache()->resident_bytes(), 0u);
 
   const Topology g = Topology::complete(8);
   worker.cost(g);  // first insert allocates exactly one shard's arrays
-  const std::size_t one = eval.shared_cache()->resident_bytes();
+  const std::size_t one = eval.cache()->resident_bytes();
   EXPECT_GT(one, 0u);
-  EXPECT_LE(one, eval.shared_cache()->max_bytes());
+  EXPECT_LE(one, eval.cache()->max_bytes());
   eval.cost(g);  // a hit allocates nothing
-  EXPECT_EQ(eval.shared_cache()->resident_bytes(), one);
+  EXPECT_EQ(eval.cache()->resident_bytes(), one);
   EXPECT_EQ(eval.cache_stats().hits, 1u);
 }
 
@@ -281,7 +144,6 @@ TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
   const Context ctx = small_context(10, 6);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
-  engine.cache.shared = true;
   Evaluator shared_a(ctx.distances, ctx.traffic, kCosts, engine);
   Evaluator shared_b = shared_a.clone();
   Evaluator plain(ctx.distances, ctx.traffic, kCosts);
@@ -292,15 +154,15 @@ TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
     const NodeId u = rng.uniform_index(10);
     const NodeId v = (u + 1 + rng.uniform_index(9)) % 10;
     g.set_edge(u, v, !g.has_edge(u, v));
-    const CostBreakdown want = plain.breakdown(g);
+    const CostBreakdown want = plain.evaluate(g).breakdown;
     // Alternate which instance evaluates first: whoever comes second should
     // often hit the shared entry, and must match exactly either way.
     Evaluator& first = (step % 2 == 0) ? shared_a : shared_b;
     Evaluator& second = (step % 2 == 0) ? shared_b : shared_a;
-    ASSERT_EQ(first.breakdown(g).total(), want.total());
-    ASSERT_EQ(second.breakdown(g).total(), want.total());
-    ASSERT_EQ(second.breakdown(g).existence, want.existence);
-    ASSERT_EQ(second.breakdown(g).bandwidth, want.bandwidth);
+    ASSERT_EQ(first.evaluate(g).total(), want.total());
+    ASSERT_EQ(second.evaluate(g).total(), want.total());
+    ASSERT_EQ(second.evaluate(g).breakdown.existence, want.existence);
+    ASSERT_EQ(second.evaluate(g).breakdown.bandwidth, want.bandwidth);
   }
   shared_a.merge_stats(shared_b);
   const EvalCacheStats stats = shared_a.cache_stats();
@@ -321,7 +183,7 @@ struct ComboOutput {
   std::size_t evaluations = 0;
 };
 
-ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
+ComboOutput run_combo(std::size_t pops, std::uint64_t seed, bool cache,
                       bool dedup, std::size_t threads, bool heuristics) {
   SynthesisConfig cfg;
   cfg.context.num_pops = pops;
@@ -330,8 +192,7 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
   cfg.ga.generations = 3;
   cfg.ga.dedup = dedup;
   cfg.ga.parallel.num_threads = threads;
-  cfg.engine.cache.enabled = cache_mode != 0;
-  cfg.engine.cache.shared = cache_mode == 2;
+  cfg.engine.cache.enabled = cache;
 
   TraceSink trace;
   JsonReportSink report;
@@ -417,7 +278,7 @@ TEST(CacheExactness, DefaultEngineMatchesUncachedSynthesis) {
 }
 
 TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
-  // >= 50 random trials; each runs all 24 engine combinations and demands
+  // >= 50 random trials; each runs all 16 engine combinations and demands
   // byte-identical timing-free telemetry. Most trials skip heuristic
   // seeding to keep the suite fast; a handful keep it on so the heuristics
   // phase is covered too.
@@ -428,18 +289,18 @@ TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
     const bool heuristics = trial >= kTrials - 5;
 
     const ComboOutput reference =
-        run_combo(pops, seed, /*cache_mode=*/0, /*dedup=*/false,
+        run_combo(pops, seed, /*cache=*/false, /*dedup=*/false,
                   /*threads=*/1, heuristics);
     ASSERT_FALSE(reference.trace.empty());
-    for (const int cache_mode : {0, 1, 2}) {
+    for (const bool cache : {false, true}) {
       for (const bool dedup : {false, true}) {
         for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-          if (cache_mode == 0 && !dedup && threads == 1) continue;
+          if (!cache && !dedup && threads == 1) continue;
           const ComboOutput got =
-              run_combo(pops, seed, cache_mode, dedup, threads, heuristics);
+              run_combo(pops, seed, cache, dedup, threads, heuristics);
           const std::string label =
               "trial=" + std::to_string(trial) +
-              " cache=" + std::to_string(cache_mode) +
+              " cache=" + std::to_string(cache) +
               " dedup=" + std::to_string(dedup) +
               " threads=" + std::to_string(threads);
           ASSERT_EQ(got.trace, reference.trace) << label;
